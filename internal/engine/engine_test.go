@@ -308,11 +308,18 @@ func TestForEachFirstErrorWins(t *testing.T) {
 	s := New(Options{Workers: 2}).NewSession()
 	sentinel := errors.New("boom")
 	var after atomic.Int32
+	// Job 3 fails only once a later job is inside f: failing earlier could
+	// cancel before any later job starts, and those would all return at
+	// ForEach's cancellation pre-check without observing anything.
+	entered := make(chan struct{})
+	var enterOnce sync.Once
 	err := s.ForEach(context.Background(), 64, func(ctx context.Context, i int) error {
 		switch {
 		case i == 3:
+			<-entered
 			return sentinel
 		case i > 3:
+			enterOnce.Do(func() { close(entered) })
 			// Give the cancellation a moment to propagate, then observe it.
 			select {
 			case <-ctx.Done():

@@ -156,11 +156,11 @@ type simThread struct {
 	bufPos int
 	bufLen int
 
-	// Column-decode state (replay path): when the stream implements
-	// trace.ColumnStream, instructions are decoded straight into these
-	// struct-of-arrays batches and buf stays nil. Both paths consume the
+	// Column state (shared-decode path): when the stream is a
+	// *trace.DecodedCursor, instructions arrive as zero-copy windows over
+	// the shared decoded arrays and buf stays nil. Both paths consume the
 	// identical item sequence; only the in-memory staging differs.
-	colStream trace.ColumnStream
+	colStream *trace.DecodedCursor
 	cols      *trace.Columns
 	colPos    int
 	colLen    int
@@ -394,9 +394,9 @@ func newEngine(p trace.Program, cfg arch.Config, hints Hints) (*engine, error) {
 			// Shared-decode replay path (design-space sweeps): the cursor
 			// hands out zero-copy column windows over a trace decoded once
 			// for all configurations, so per-instruction stream cost is a
-			// couple of slice reads. Plain ReplayCursor streams stay on the
-			// Item path below — decoding packed words into one Item array
-			// beats fanning them across eight column arrays.
+			// couple of slice reads. Every other stream — a plain
+			// ReplayCursor included — takes the Item path below:
+			// ReplayCursor.NextBatch is the one decoder of the packed words.
 			st.colStream = cs
 			st.cols = &trace.Columns{}
 		} else {
@@ -447,8 +447,8 @@ func (e *engine) advance(budget uint64) (bool, error) {
 			limit = cur.clock + quantum
 		}
 		if cur.colStream != nil {
-			// Column replay path: instructions arrive in struct-of-arrays
-			// batches; sync events pause the column stream and are collected
+			// Shared-decode path: instructions arrive in zero-copy column
+			// windows that end at each sync event, which is collected
 			// explicitly. The consumed item sequence is identical to the
 			// Item path below — only the staging differs.
 			cols := cur.cols
@@ -765,7 +765,7 @@ var feAttr = [numFeCauses]uint8{feNone: attrBase, feBranch: attrBranch, feICache
 
 // step advances the thread's timing state by one instruction (the
 // instruction-window-centric core model). Fields are passed individually
-// so both staging layouts (Item batches and replay columns) feed the same
+// so both staging layouts (Item batches and decoded columns) feed the same
 // model without an intermediate struct.
 func (e *engine) step(st *simThread, cls trace.Class, dst, src1, src2 int8, pc, addr uint64, taken bool) {
 	invWidth := e.invWidth

@@ -1,18 +1,11 @@
 package trace
 
-// This file implements the struct-of-arrays (SoA) replay decode path: the
-// packed word stream (see docs/TRACE_FORMAT.md) is decoded straight into
-// parallel per-field arrays instead of 56-byte Item structs. The simulator
-// consumes these columns natively, so the replay hot path writes a handful
-// of narrow, contiguous arrays per batch — the Item round-trip (scattered
-// struct stores on decode, scattered loads in the consumer) disappears.
-// Both decode paths read the same words and must stay value-identical;
-// TestColumnsMatchItems enforces that differentially.
-
-// Columns is a struct-of-arrays batch of decoded instructions. All field
-// slices share one length (the batch capacity); entry i across the slices
-// describes the i-th decoded instruction. Synchronization events are not
-// represented in columns — they pause the column stream (see ColumnStream).
+// Columns is a struct-of-arrays batch of decoded instructions: the
+// simulator's native staging layout for a shared decoded trace (see
+// Decoded). All field slices share one length; entry i across the slices
+// describes the i-th instruction. Synchronization events are not
+// represented in columns: a DecodedCursor window ends at each one, and the
+// cursor hands the event out separately.
 type Columns struct {
 	PC       []uint64
 	Addr     []uint64 // data address; zero for non-memory classes
@@ -38,126 +31,12 @@ func NewColumns(n int) *Columns {
 	}
 }
 
-// Cap returns the batch capacity.
-func (c *Columns) Cap() int { return len(c.PC) }
-
-// ColumnStream is a stream that can decode instructions into column
-// batches. NextColumns fills cols from the front and returns the number of
-// instructions written; it stops early when it reaches a synchronization
-// event, which the consumer must then collect with TakeSync before further
-// NextColumns calls make progress. A return of 0 with TakeSync reporting
-// no event means the stream is exhausted. Implementations that fill the
-// caller's arrays (ReplayCursor) require cols.Cap() > 0 and return at most
-// cols.Cap() instructions; implementations that hand out views over shared
-// storage (DecodedCursor) repoint the caller's slices and may return more.
-//
-// The column and Item interfaces draw from the same stream position, so a
-// consumer may switch between them between calls, but not interleave them
-// within one logical batch.
-type ColumnStream interface {
-	NextColumns(cols *Columns) int
-	TakeSync() (Event, bool)
-}
-
-// NextColumns implements ColumnStream: it decodes up to cols.Cap()
-// instructions into the column arrays, stopping at the first
-// synchronization event (held for TakeSync) or the end of the stream.
-// cols must have non-zero capacity (per the ColumnStream contract, a
-// zero-capacity batch cannot distinguish "buffer full" from "exhausted").
-func (c *ReplayCursor) NextColumns(cols *Columns) int {
-	if c.hasSync {
-		return 0
+// slice returns a view of the first [lo, hi) entries of every column.
+func (c *Columns) slice(lo, hi int) Columns {
+	return Columns{
+		PC: c.PC[lo:hi], Addr: c.Addr[lo:hi],
+		Class: c.Class[lo:hi], Dst: c.Dst[lo:hi],
+		Src1: c.Src1[lo:hi], Src2: c.Src2[lo:hi],
+		BranchID: c.BranchID[lo:hi], Taken: c.Taken[lo:hi],
 	}
-	words, pos := c.words, c.pos
-	prevPC := c.prevPC
-	addrReg := c.addrReg
-	n, max := 0, cols.Cap()
-loop:
-	for n < max && pos < len(words) {
-		w := words[pos]
-		pos++
-		if w&recCtlBit == 0 {
-			cls := Class(w & (1<<recClassBits - 1))
-			cols.Class[n] = cls
-			cols.Dst[n] = int8((w>>recClassBits)&(1<<recRegBits-1)) - 1
-			cols.Src1[n] = int8((w>>(recClassBits+recRegBits))&(1<<recRegBits-1)) - 1
-			cols.Src2[n] = int8((w>>(recClassBits+2*recRegBits))&(1<<recRegBits-1)) - 1
-			pc := prevPC + recPCStride + uint64(unzigzag((w>>recPCShift)&(1<<recPCBits-1)))
-			cols.PC[n] = pc
-			prevPC = pc
-			pay := w >> recPayShift & (1<<recPayBits - 1)
-			var addr uint64
-			var id uint16
-			taken := false
-			if cls == Load || cls == Store {
-				sel := pay & 1
-				addr = addrReg[sel] + uint64(unzigzag(pay>>1))
-				addrReg[sel] = addr
-			} else if cls == Branch {
-				taken = pay&1 != 0
-				id = uint16(pay >> 1)
-			}
-			cols.Addr[n] = addr
-			cols.BranchID[n] = id
-			cols.Taken[n] = taken
-			n++
-			continue
-		}
-		switch (w & recCtlMask) >> recCtlShift {
-		case ctlSync:
-			c.pendingSync = Event{
-				Kind: SyncKind(w & (1<<recClassBits - 1)),
-				Obj:  uint32(w >> 4),
-				Arg:  int(int64(w<<4) >> 40), // sign-extend bits 36..59
-			}
-			c.hasSync = true
-			break loop
-		case ctlSyncExt:
-			c.pendingSync = Event{
-				Kind: SyncKind(w & (1<<recClassBits - 1)),
-				Obj:  uint32(w >> 4),
-				Arg:  int(int64(words[pos])),
-			}
-			pos++
-			c.hasSync = true
-			break loop
-		case ctlSetPC:
-			prevPC = (w &^ (recCtlBit | recCtlMask)) - recPCStride
-		case ctlSetPCExt:
-			prevPC = words[pos] - recPCStride
-			pos++
-		case ctlWide:
-			cls := Class(w & (1<<recClassBits - 1))
-			cols.Class[n] = cls
-			cols.Dst[n] = int8((w>>recClassBits)&(1<<recRegBits-1)) - 1
-			cols.Src1[n] = int8((w>>(recClassBits+recRegBits))&(1<<recRegBits-1)) - 1
-			cols.Src2[n] = int8((w>>(recClassBits+2*recRegBits))&(1<<recRegBits-1)) - 1
-			cols.Taken[n] = w>>wideTakenShift&1 != 0
-			cols.BranchID[n] = uint16(w >> wideIDShift)
-			pc := prevPC + recPCStride + uint64(unzigzag(w>>widePCShift&(1<<recPCBits-1)))
-			cols.PC[n] = pc
-			prevPC = pc
-			addr := words[pos]
-			pos++
-			cols.Addr[n] = addr
-			if cls == Load || cls == Store {
-				addrReg[w>>wideSelShift&1] = addr
-			}
-			n++
-		}
-	}
-	c.pos = pos
-	c.prevPC = prevPC
-	c.addrReg = addrReg
-	return n
-}
-
-// TakeSync consumes the synchronization event NextColumns stopped at, if
-// any. After a true return the cursor resumes decoding instructions.
-func (c *ReplayCursor) TakeSync() (Event, bool) {
-	if !c.hasSync {
-		return Event{}, false
-	}
-	c.hasSync = false
-	return c.pendingSync, true
 }

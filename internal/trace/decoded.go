@@ -36,65 +36,58 @@ type syncPoint struct {
 	ev  Event
 }
 
-// Decode expands a recording into its struct-of-arrays form. Decoding is a
-// single replay pass per thread; the result is value-identical to cursor
-// decode (differentially tested).
+// Decode expands a recording into its struct-of-arrays form: one
+// ReplayCursor pass per thread, its Item batches scattered into the
+// column arrays and its sync events set aside with their positions.
+// Building on NextBatch keeps ReplayCursor the only decoder of the word
+// format, so the result is value-identical to cursor replay by
+// construction (and differentially tested).
 func Decode(rec *Recorded) *Decoded {
 	d := &Decoded{
 		name:    rec.Name(),
 		bound:   rec.DataLineBound(),
 		threads: make([]decodedThread, rec.NumThreads()),
 	}
+	var buf [256]Item
 	for tid := range d.threads {
 		dt := &d.threads[tid]
 		// Count instructions first so every column array is allocated
-		// exactly once at full length.
+		// exactly once. The count sees the data words of two-word
+		// sequences (sync-ext, set-pc-ext, wide) as arbitrary bits, so it
+		// may over-count — the arrays are sliced to the decoded length
+		// below — but never under-count: every real instruction word is
+		// counted regardless of what precedes it.
 		total := 0
 		for _, w := range rec.threads[tid] {
-			if w&recCtlBit == 0 {
-				total++
-			} else if (w&recCtlMask)>>recCtlShift == ctlWide {
+			if w&recCtlBit == 0 || (w&recCtlMask)>>recCtlShift == ctlWide {
 				total++
 			}
 		}
-		// The count pass sees the data words of two-word sequences
-		// (sync-ext, set-pc-ext, wide) as arbitrary bits, so it may
-		// over-count — harmless, the arrays are sliced to the decoded
-		// length below — but it can never under-count: every real
-		// instruction word is counted regardless of what precedes it.
-		dt.cols = *NewColumns(total)
+		cols := NewColumns(total)
 		cur := rec.Replay(tid)
-		scratch := NewColumns(1) // tail probe once the window is exhausted
 		pos := 0
-		for {
-			if window := dt.cols.slice(pos, total); window.Cap() > 0 {
-				n := cur.NextColumns(&window)
-				pos += n
-				if n == window.Cap() {
+		for n := cur.NextBatch(buf[:]); n > 0; n = cur.NextBatch(buf[:]) {
+			for i := range buf[:n] {
+				it := &buf[i]
+				if it.IsSync {
+					dt.syncs = append(dt.syncs, syncPoint{pos: pos, ev: it.Sync})
 					continue
 				}
-			} else if cur.NextColumns(scratch) > 0 {
-				panic("trace: decoded column under-count")
+				in := &it.Instr
+				cols.PC[pos] = in.PC
+				cols.Addr[pos] = in.Addr
+				cols.Class[pos] = in.Class
+				cols.Dst[pos] = in.Dst
+				cols.Src1[pos] = in.Src1
+				cols.Src2[pos] = in.Src2
+				cols.BranchID[pos] = in.BranchID
+				cols.Taken[pos] = in.Taken
+				pos++
 			}
-			ev, ok := cur.TakeSync()
-			if !ok {
-				break
-			}
-			dt.syncs = append(dt.syncs, syncPoint{pos: pos, ev: ev})
 		}
-		dt.cols = dt.cols.slice(0, pos)
+		dt.cols = cols.slice(0, pos)
 	}
 	return d
-}
-
-// slice returns a view of the first [lo, hi) entries of every column.
-func (c *Columns) slice(lo, hi int) Columns {
-	return Columns{
-		PC: c.PC[lo:hi], Addr: c.Addr[lo:hi],
-		Class: c.Class[lo:hi], Dst: c.Dst[lo:hi],
-		Src1: c.Src1[lo:hi], Src2: c.Src2[lo:hi],
-		BranchID: c.BranchID[lo:hi], Taken: c.Taken[lo:hi],
-	}
 }
 
 // Name implements Program.
@@ -123,10 +116,9 @@ func (d *Decoded) SizeBytes() int64 {
 	return n
 }
 
-// DecodedCursor replays one thread of a Decoded. It implements both
-// ColumnStream (zero-copy: NextColumns repoints the caller's column slices
-// at the shared arrays) and ThreadStream/BatchStream (for consumers that
-// want Items), drawing from one position.
+// DecodedCursor replays one thread of a Decoded, either as zero-copy
+// column windows (NextColumns/TakeSync, the simulator's sweep path) or as
+// Items (ThreadStream/BatchStream), drawing from one position.
 type DecodedCursor struct {
 	t        *decodedThread
 	pos      int // instructions consumed
@@ -134,10 +126,12 @@ type DecodedCursor struct {
 	syncTurn bool
 }
 
-// NextColumns implements ColumnStream. The returned window is a read-only
-// view of the shared decoded arrays — the caller's slice headers are
-// repointed, no data is copied — and extends to the next synchronization
-// event regardless of the caller's previous capacity.
+// NextColumns repoints cols at the instructions up to the next
+// synchronization event and returns their count. The window is a
+// read-only view of the shared decoded arrays — the caller's slice
+// headers are repointed, no data is copied. A return of 0 means either a
+// sync event is due (collect it with TakeSync) or the thread is
+// exhausted (TakeSync reports no event).
 func (c *DecodedCursor) NextColumns(cols *Columns) int {
 	if c.syncTurn {
 		return 0
@@ -155,7 +149,8 @@ func (c *DecodedCursor) NextColumns(cols *Columns) int {
 	return n
 }
 
-// TakeSync implements ColumnStream.
+// TakeSync consumes the synchronization event NextColumns stopped at, if
+// any; after a true return NextColumns resumes past it.
 func (c *DecodedCursor) TakeSync() (Event, bool) {
 	if !c.syncTurn {
 		return Event{}, false

@@ -38,12 +38,40 @@ func drainDecoded(t *testing.T, c *trace.DecodedCursor) []trace.Item {
 	}
 }
 
+// batchEdgeProgram places sync events exactly on the edges of Decode's
+// 256-item NextBatch batches: thread 0 has syncs as the last item of the
+// first batch, the first item of the second, the last of the second, and
+// a lone exit sync opening the fourth; thread 1 ends on a batch edge with
+// no trailing sync at all.
+func batchEdgeProgram() trace.Program {
+	pc := uint64(0)
+	alu := func(n int) []trace.Item {
+		out := make([]trace.Item, n)
+		for i := range out {
+			out[i] = trace.InstrItem(trace.Instr{Class: trace.IntALU, Dst: int8(i % 8), Src1: -1, Src2: -1, PC: pc})
+			pc += 4
+		}
+		return out
+	}
+	barrier := func(obj uint32) trace.Item {
+		return trace.SyncItem(trace.Event{Kind: trace.SyncBarrier, Obj: obj, Arg: 2})
+	}
+	var t0 []trace.Item
+	t0 = append(t0, alu(255)...)                                             // items 0..254
+	t0 = append(t0, barrier(1), barrier(2))                                  // 255, 256
+	t0 = append(t0, alu(254)...)                                             // 257..510
+	t0 = append(t0, barrier(3))                                              // 511
+	t0 = append(t0, alu(256)...)                                             // 512..767
+	t0 = append(t0, trace.SyncItem(trace.Event{Kind: trace.SyncThreadExit})) // 768
+	return &trace.SliceProgram{ProgName: "batch-edge", Threads: [][]trace.Item{t0, alu(256)}}
+}
+
 // TestDecodedMatchesReplay: the shared-decode view must be item-for-item
 // identical to cursor replay, through both the column and the Item
 // interfaces.
 func TestDecodedMatchesReplay(t *testing.T) {
-	progs := []trace.Program{edgeCaseProgram()}
-	names := []string{"kmeans", "canneal"}
+	progs := []trace.Program{edgeCaseProgram(), batchEdgeProgram()}
+	names := []string{"kmeans", "streamcluster", "canneal"}
 	if testing.Short() {
 		names = names[:1]
 	}

@@ -321,20 +321,14 @@ func Record(p Program) (*Recorded, error) {
 // ReplayCursor decodes one thread's packed words back into Items. It
 // implements BatchStream; decoding writes straight into the caller's batch
 // buffer, so a replay pass touches one word load plus a handful of shifts
-// per instruction. Cursors are single-goroutine; create one per replaying
-// consumer.
+// per instruction. NextBatch is the only decoder of the word format:
+// every other view (Decode's shared columns included) is built on it.
+// Cursors are single-goroutine; create one per replaying consumer.
 type ReplayCursor struct {
 	words   []uint64
 	pos     int
 	prevPC  uint64
 	addrReg [2]uint64
-
-	// pendingSync holds a synchronization event NextColumns decoded but the
-	// consumer has not yet collected via TakeSync (the column interface
-	// carries instructions only). NextBatch drains it first, so the Item
-	// and column views stay position-consistent.
-	pendingSync Event
-	hasSync     bool
 }
 
 // Next implements ThreadStream.
@@ -351,14 +345,6 @@ func (c *ReplayCursor) Next() (Item, bool) {
 // unspecified (stale buffer bytes); sync items are written in full.
 func (c *ReplayCursor) NextBatch(buf []Item) int {
 	n := 0
-	if c.hasSync {
-		if len(buf) == 0 {
-			return 0
-		}
-		buf[0] = Item{IsSync: true, Sync: c.pendingSync}
-		c.hasSync = false
-		n = 1
-	}
 	words, pos := c.words, c.pos
 	prevPC := c.prevPC
 	addrReg := c.addrReg

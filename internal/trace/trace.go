@@ -13,9 +13,10 @@
 //
 // The package also implements the record-once/replay-many trace subsystem:
 // Record packs a Program into a compact word stream (Recorded) that any
-// number of cursors replay concurrently — as Items (NextBatch), as
-// struct-of-arrays columns (NextColumns), or through a fully decoded
-// shared view (Decode) — plus a versioned persistence format. The packed
+// number of cursors replay concurrently as Items (ReplayCursor.NextBatch,
+// the one decoder of the word format), or through a fully decoded
+// struct-of-arrays view built on it (Decode) — plus a versioned
+// persistence format. The packed
 // encoding and the file layout are specified normatively in
 // docs/TRACE_FORMAT.md; change them only per that document's evolution
 // checklist.

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // KB and MB improve the readability of footprint literals.
@@ -578,18 +579,35 @@ func Suite() []Benchmark {
 	return out
 }
 
-// ByName returns the named benchmark or an error listing the valid names.
-func ByName(name string) (Benchmark, error) {
-	for _, b := range Suite() {
-		if b.Name == name {
-			return b, nil
+// nameIndex maps fixed-suite names to benchmarks.
+type nameIndex struct {
+	byName map[string]Benchmark
+	names  []string // every suite name in Suite() order, for error messages
+}
+
+// suiteIndex is the fixed suite's name index, built once from one Suite()
+// call and shared by every lookup. The Build closures capture only their
+// declarations' immutable parameters, so sharing them is race-free.
+var suiteIndex = sync.OnceValue(func() nameIndex {
+	all := Suite()
+	ix := nameIndex{byName: make(map[string]Benchmark, len(all))}
+	for _, b := range all {
+		ix.names = append(ix.names, b.Name)
+		if _, dup := ix.byName[b.Name]; !dup {
+			ix.byName[b.Name] = b // first match wins, as in Suite() order
 		}
 	}
-	names := make([]string, 0, 26)
-	for _, b := range Suite() {
-		names = append(names, b.Name)
+	return ix
+})
+
+// ByName returns the named benchmark or an error listing the valid names.
+// A name declared twice (streamcluster) resolves to its first declaration.
+func ByName(name string) (Benchmark, error) {
+	ix := suiteIndex()
+	if b, ok := ix.byName[name]; ok {
+		return b, nil
 	}
-	return Benchmark{}, fmt.Errorf("workload: unknown benchmark %q (have: %v)", name, names)
+	return Benchmark{}, fmt.Errorf("workload: unknown benchmark %q (have: %v)", name, ix.names)
 }
 
 // BarrierLoop builds the Table I micro-benchmark: threads execute iters

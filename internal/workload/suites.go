@@ -320,21 +320,20 @@ func DefaultSuites() (*SuiteRegistry, error) {
 // addressable everywhere a benchmark name is accepted (CLI, server,
 // experiments).
 func ResolveBenchmark(name string) (Benchmark, error) {
-	if bm, err := ByName(name); err == nil {
+	ix := suiteIndex()
+	if bm, ok := ix.byName[name]; ok {
 		return bm, nil
 	}
-	if reg, err := DefaultSuites(); err == nil {
+	reg, regErr := DefaultSuites()
+	if regErr == nil {
 		if e, ok := reg.ByName(name); ok {
 			return e.Benchmark()
 		}
 	}
-	names := make([]string, 0, 32)
-	for _, b := range Suite() {
-		names = append(names, b.Name)
-	}
-	if reg, err := DefaultSuites(); err == nil {
+	names := append([]string(nil), ix.names...)
+	if regErr == nil {
 		for _, e := range reg.Entries {
-			if _, err := ByName(e.Name); err != nil {
+			if _, fixed := ix.byName[e.Name]; !fixed {
 				names = append(names, e.Name)
 			}
 		}

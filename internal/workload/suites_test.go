@@ -169,6 +169,18 @@ func TestResolveBenchmark(t *testing.T) {
 	}
 }
 
+// TestResolveBenchmarkHitAllocsNothing: a fixed-suite name resolves through
+// the shared name index without rebuilding the suite or allocating.
+func TestResolveBenchmarkHitAllocsNothing(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ResolveBenchmark("kmeans"); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("ResolveBenchmark hit: %v allocs, want 0", allocs)
+	}
+}
+
 // FuzzParseSuites asserts the loader never panics on arbitrary input: it
 // either parses or returns an error.
 func FuzzParseSuites(f *testing.F) {

@@ -238,6 +238,11 @@ func TestByName(t *testing.T) {
 	if err != nil || b.Name != "fluidanimate" {
 		t.Fatalf("ByName(fluidanimate) = %v, %v", b.Name, err)
 	}
+	// A name declared twice resolves to its first declaration in Suite()
+	// order: streamcluster stays the Rodinia flavour.
+	if b, _ := ByName("streamcluster"); b.Kind != Rodinia {
+		t.Fatalf("ByName(streamcluster) = %v flavour, want Rodinia", b.Kind)
+	}
 }
 
 func TestValidateCatchesBrokenPrograms(t *testing.T) {
