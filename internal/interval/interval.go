@@ -12,6 +12,11 @@
 // distance distributions, branch statistics, dependence micro-traces) or a
 // property of the target arch.Config. Nothing here ever looks at the
 // simulator.
+//
+// The StatStack cache models are configuration-independent: each epoch's
+// three are built once per profile (profiler.Epoch.Models) and shared by
+// every prediction. Per configuration, PredictEpoch pays only the ILP and
+// MLP window analyses, the branch model and the miss-rate queries.
 package interval
 
 import (
@@ -143,9 +148,9 @@ func PredictEpochOpts(ep *profiler.Epoch, cfg *arch.Config, opts ModelOptions) S
 	// Data cache components: private reuse distances predict the private
 	// L1/L2, global reuse distances predict the shared LLC (the
 	// multithreaded StatStack extension).
+	models := ep.Models()
 	if ep.Loads > 0 {
-		pm := statstack.New(ep.PrivateRD)
-		gm := statstack.New(ep.GlobalRD)
+		pm, gm := models.Private, models.Global
 		if opts.LLCFromPrivateRD {
 			gm = pm
 		}
@@ -176,7 +181,7 @@ func PredictEpochOpts(ep *profiler.Epoch, cfg *arch.Config, opts ModelOptions) S
 	// is invisible: discount fetch-miss cycles by the fraction of time the
 	// window is memory-bound.
 	if ep.ILineAccesses > 0 {
-		im := statstack.New(ep.InstrRD)
+		im := models.Instr
 		m1 := im.MissRate(cfg.L1I.Lines())
 		m2 := minF(im.MissRate(cfg.L2.Lines()), m1)
 		m3 := minF(im.MissRate(cfg.LLC.Lines()), m2)

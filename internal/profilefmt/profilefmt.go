@@ -601,7 +601,7 @@ func (t *threadDecoder) histogram() (*stats.Histogram, error) {
 	st.Max = int64(max)
 	if flags&1 != 0 {
 		st.Linear = make([]uint64, stats.LinearLen)
-		if err := t.sparse(st.Linear, "linear bucket"); err != nil {
+		if st.LinearNonZero, err = t.sparse(st.Linear, "linear bucket"); err != nil {
 			return nil, err
 		}
 	}
@@ -615,7 +615,7 @@ func (t *threadDecoder) histogram() (*stats.Histogram, error) {
 	if logLen > 0 {
 		st.Log = make([]uint64, logLen)
 	}
-	if err := t.sparse(st.Log, "log bucket"); err != nil {
+	if st.LogNonZero, err = t.sparse(st.Log, "log bucket"); err != nil {
 		return nil, err
 	}
 	h := stats.NewHistogram()
@@ -625,30 +625,33 @@ func (t *threadDecoder) histogram() (*stats.Histogram, error) {
 	return h, nil
 }
 
-func (t *threadDecoder) sparse(counts []uint64, what string) error {
+// sparse decodes a count array written by appendSparse into counts and
+// returns its number of non-zero entries. Indices strictly increase and
+// zero values are rejected, so that number is exact.
+func (t *threadDecoder) sparse(counts []uint64, what string) (int, error) {
 	d := t.d
 	nnz, err := d.count(2, what)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	idx := -1
 	for i := 0; i < nnz; i++ {
 		gap, err := d.uvarint(what + " gap")
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if gap >= uint64(len(counts)-idx-1) {
-			return fmt.Errorf("profilefmt: %s index past array end", what)
+			return 0, fmt.Errorf("profilefmt: %s index past array end", what)
 		}
 		idx += int(gap) + 1
 		if counts[idx], err = d.uvarint(what + " value"); err != nil {
-			return err
+			return 0, err
 		}
 		if counts[idx] == 0 {
-			return fmt.Errorf("profilefmt: zero %s in sparse encoding", what)
+			return 0, fmt.Errorf("profilefmt: zero %s in sparse encoding", what)
 		}
 	}
-	return nil
+	return nnz, nil
 }
 
 func (t *threadDecoder) window() (profiler.Window, error) {

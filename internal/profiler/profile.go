@@ -27,8 +27,11 @@
 package profiler
 
 import (
+	"sync/atomic"
+
 	"rppm/internal/branchmodel"
 	"rppm/internal/stats"
+	"rppm/internal/statstack"
 	"rppm/internal/trace"
 )
 
@@ -72,6 +75,36 @@ type Epoch struct {
 	CoherenceInvalidations uint64
 
 	Windows []Window
+
+	// models caches the StatStack models of the three histograms; see
+	// Models.
+	models atomic.Pointer[Models]
+}
+
+// Models are an epoch's StatStack cache models, one per reuse-distance
+// histogram. They depend on the profile only, so every prediction of the
+// epoch, on any configuration, shares one set.
+type Models struct {
+	Private *statstack.Model // private L1/L2 data caches
+	Global  *statstack.Model // shared LLC
+	Instr   *statstack.Model // instruction caches
+}
+
+// Models returns the epoch's StatStack models, building them on first
+// use. Finished profiles are read by concurrent predictors: racing
+// builders store identical contents, so either store wins. The histograms
+// must not change once Models has been called, except through Merge.
+func (e *Epoch) Models() *Models {
+	if m := e.models.Load(); m != nil {
+		return m
+	}
+	m := &Models{
+		Private: statstack.New(e.PrivateRD),
+		Global:  statstack.New(e.GlobalRD),
+		Instr:   statstack.New(e.InstrRD),
+	}
+	e.models.Store(m)
+	return m
 }
 
 // NewEpoch returns an empty epoch profile.
@@ -106,6 +139,7 @@ func (e *Epoch) Merge(other *Epoch) {
 	e.InstrRD.Merge(other.InstrRD)
 	e.CoherenceInvalidations += other.CoherenceInvalidations
 	e.Windows = append(e.Windows, other.Windows...)
+	e.models.Store(nil)
 }
 
 // ThreadProfile is one thread's sequence of epochs delimited by its

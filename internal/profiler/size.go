@@ -3,6 +3,7 @@ package profiler
 import (
 	"unsafe"
 
+	"rppm/internal/statstack"
 	"rppm/internal/trace"
 )
 
@@ -26,11 +27,24 @@ func (e *Epoch) SizeBytes() int64 {
 	n := int64(unsafe.Sizeof(*e))
 	n += e.Branch.SizeBytes()
 	n += e.PrivateRD.SizeBytes() + e.GlobalRD.SizeBytes() + e.InstrRD.SizeBytes()
+	n += e.modelBytes()
 	n += int64(len(e.Windows)) * int64(unsafe.Sizeof(Window{}))
 	for i := range e.Windows {
 		n += e.Windows[i].SizeBytes()
 	}
 	return n
+}
+
+// modelBytes returns the size of the epoch's StatStack models. They are
+// charged at their eventual size whether or not they are built yet:
+// prediction builds them after the profile is cached, and accounting must
+// not depend on timing.
+func (e *Epoch) modelBytes() int64 {
+	n := int64(unsafe.Sizeof(Models{}))
+	if m := e.models.Load(); m != nil {
+		return n + m.Private.SizeBytes() + m.Global.SizeBytes() + m.Instr.SizeBytes()
+	}
+	return n + statstack.SizeFor(e.PrivateRD) + statstack.SizeFor(e.GlobalRD) + statstack.SizeFor(e.InstrRD)
 }
 
 // SizeBytes returns the resident size of one thread's profile.

@@ -14,7 +14,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -37,16 +36,10 @@ type Histogram struct {
 	sum      float64  // sum of finite samples
 	max      int64    // largest finite sample
 
-	// suffix caches suffix[i] = sum of linear[i:] for CountAbove, which the
-	// StatStack model evaluates at hundreds of sample points per model
-	// build; without the cache each evaluation rescans the linear array.
-	// Lazily built, dropped on every mutation. Substituting the integer
-	// suffix sum for the element-by-element float accumulation is
-	// bit-identical: every count and every partial sum is an integer far
-	// below 2^53, so no float addition in the replaced loop ever rounds.
-	// Atomic because finished profiles are read by concurrent prediction
-	// workers: racing builders store identical contents, so either wins.
-	suffix atomic.Pointer[[]uint64]
+	// nzLinear and nzLog count the non-zero entries of linear and log,
+	// which size a Tail snapshot; kept up to date so that size is known
+	// without a scan.
+	nzLinear, nzLog int32
 
 	// linearAlloc, when set, supplies the lazily-allocated linear array.
 	// The profiler creates histograms by the thousands (three per epoch)
@@ -118,8 +111,11 @@ func (h *Histogram) Add(v int64) {
 		if v > h.max {
 			h.max = v
 		}
-		h.linear[v]++
-		h.suffix.Store(nil)
+		c := &h.linear[v]
+		if *c == 0 {
+			h.nzLinear++
+		}
+		*c++
 		return
 	}
 	h.AddN(v, 1)
@@ -146,8 +142,10 @@ func (h *Histogram) AddN(v int64, n uint64) {
 		if h.linear == nil {
 			h.ensureLinear()
 		}
+		if h.linear[v] == 0 {
+			h.nzLinear++
+		}
 		h.linear[v] += n
-		h.suffix.Store(nil)
 		return
 	}
 	b := logBucket(v)
@@ -169,6 +167,9 @@ func (h *Histogram) AddN(v int64, n uint64) {
 		copy(grown, h.log)
 		h.log = grown
 	}
+	if h.log[b] == 0 {
+		h.nzLog++
+	}
 	h.log[b] += n
 }
 
@@ -188,9 +189,11 @@ func (h *Histogram) Merge(other *Histogram) {
 			h.ensureLinear()
 		}
 		for i, c := range other.linear {
+			if c != 0 && h.linear[i] == 0 {
+				h.nzLinear++
+			}
 			h.linear[i] += c
 		}
-		h.suffix.Store(nil)
 	}
 	if len(other.log) > len(h.log) {
 		grown := make([]uint64, len(other.log))
@@ -198,6 +201,9 @@ func (h *Histogram) Merge(other *Histogram) {
 		h.log = grown
 	}
 	for i, c := range other.log {
+		if c != 0 && h.log[i] == 0 {
+			h.nzLog++
+		}
 		h.log[i] += c
 	}
 }
@@ -206,16 +212,10 @@ func (h *Histogram) Merge(other *Histogram) {
 // the struct itself, for memory-budget accounting of retained profiles. The
 // arrays may live in a shared slab (see SetLinearAllocator); they are still
 // charged here, since the slab is retained exactly as long as its
-// histograms are. The lazily-built suffix cache is charged at its eventual
-// size whether or not it exists yet — model evaluation builds it after the
-// profile is cached, and accounting must not depend on measurement timing.
+// histograms are. Tail snapshots built from the histogram are separate
+// values and charged by their owners (Tail.SizeBytes, TailSizeBytes).
 func (h *Histogram) SizeBytes() int64 {
-	n := int64(unsafe.Sizeof(*h))
-	n += 8 * int64(len(h.linear)+len(h.log))
-	if h.linear != nil {
-		n += 8 * (linearCutoff + 1) // suffix cache, built on first CountAbove
-	}
-	return n
+	return int64(unsafe.Sizeof(*h)) + 8*int64(len(h.linear)+len(h.log))
 }
 
 // HistogramState is the exact internal state of a Histogram, exposed for
@@ -230,6 +230,11 @@ type HistogramState struct {
 	Count    uint64
 	SumBits  uint64 // math.Float64bits of the finite-sample sum
 	Max      int64
+
+	// LinearNonZero and LogNonZero count the non-zero entries of Linear
+	// and Log. They size the histogram's Tail snapshots for memory
+	// accounting, so a restore need not rescan the arrays.
+	LinearNonZero, LogNonZero int
 }
 
 // LinearLen is the length a non-nil HistogramState.Linear must have.
@@ -248,12 +253,17 @@ func (h *Histogram) State() HistogramState {
 		Count:    h.count,
 		SumBits:  math.Float64bits(h.sum),
 		Max:      h.max,
+
+		LinearNonZero: int(h.nzLinear),
+		LogNonZero:    int(h.nzLog),
 	}
 }
 
 // Restore overwrites h with the given state. A non-nil Linear must be
-// exactly LinearLen long and Log at most MaxLogLen, as State produces;
-// Restore takes ownership of the slices.
+// exactly LinearLen long, Log at most MaxLogLen, and the non-zero counts
+// must match the arrays, as State produces; Restore takes ownership of the
+// slices. The counts are not rescanned: a wrong one misstates only the
+// size charged for the histogram's tail snapshots.
 func (h *Histogram) Restore(st HistogramState) error {
 	if st.Linear != nil && len(st.Linear) != linearCutoff {
 		return fmt.Errorf("stats: restore: linear array length %d, want %d", len(st.Linear), linearCutoff)
@@ -261,13 +271,16 @@ func (h *Histogram) Restore(st HistogramState) error {
 	if len(st.Log) > maxLogBuckets {
 		return fmt.Errorf("stats: restore: %d log buckets exceeds limit %d", len(st.Log), maxLogBuckets)
 	}
+	if st.LinearNonZero < 0 || st.LinearNonZero > len(st.Linear) || st.LogNonZero < 0 || st.LogNonZero > len(st.Log) {
+		return fmt.Errorf("stats: restore: non-zero counts %d/%d out of range", st.LinearNonZero, st.LogNonZero)
+	}
 	h.linear = st.Linear
 	h.log = st.Log
 	h.infinite = st.Infinite
 	h.count = st.Count
 	h.sum = math.Float64frombits(st.SumBits)
 	h.max = st.Max
-	h.suffix.Store(nil)
+	h.nzLinear, h.nzLog = int32(st.LinearNonZero), int32(st.LogNonZero)
 	h.linearAlloc = nil
 	return nil
 }
@@ -291,56 +304,9 @@ func (h *Histogram) Mean() float64 {
 func (h *Histogram) Max() int64 { return h.max }
 
 // CountAbove returns the number of samples with value strictly greater than
-// v. Infinite samples always count. Log buckets straddling v contribute a
-// uniform-interpolation fraction.
-func (h *Histogram) CountAbove(v int64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	total := float64(h.infinite)
-	if v < linearCutoff && h.linear != nil {
-		start := v + 1
-		if start < 0 {
-			start = 0
-		}
-		suf := h.suffix.Load()
-		if suf == nil {
-			s := make([]uint64, linearCutoff+1)
-			for i := linearCutoff - 1; i >= 0; i-- {
-				s[i] = s[i+1] + h.linear[i]
-			}
-			suf = &s
-			h.suffix.Store(suf)
-		}
-		// Exact-integer substitution for the per-element accumulation; see
-		// the suffix field comment.
-		total += float64((*suf)[start])
-	}
-	for b, c := range h.log {
-		if c == 0 {
-			continue
-		}
-		lo, hi := logBucketBounds(b)
-		switch {
-		case lo > v:
-			total += float64(c)
-		case hi-1 <= v:
-			// whole bucket at or below v
-		default:
-			frac := float64(hi-1-v) / float64(hi-lo)
-			total += float64(c) * frac
-		}
-	}
-	return total
-}
-
-// FracAbove returns the fraction of all samples strictly greater than v.
-func (h *Histogram) FracAbove(v int64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.CountAbove(v) / float64(h.count)
-}
+// v; see Tail.CountAbove. Each call snapshots the tail, so callers probing
+// many values should take one Tail and query it.
+func (h *Histogram) CountAbove(v int64) float64 { return h.Tail().CountAbove(v) }
 
 // Quantile returns an approximate q-quantile (q in [0,1]) of the finite
 // samples. Returns 0 for an empty histogram.
@@ -390,16 +356,6 @@ func (h *Histogram) Buckets(fn func(value int64, count uint64)) {
 	if h.infinite > 0 {
 		fn(Infinite, h.infinite)
 	}
-}
-
-// CCDF returns the complementary CDF sampled at the given points:
-// out[i] = FracAbove(points[i]). Points must be sorted ascending.
-func (h *Histogram) CCDF(points []int64) []float64 {
-	out := make([]float64, len(points))
-	for i, p := range points {
-		out[i] = h.FracAbove(p)
-	}
-	return out
 }
 
 // String renders a short human-readable summary.

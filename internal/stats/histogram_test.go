@@ -13,7 +13,7 @@ func TestEmptyHistogram(t *testing.T) {
 	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram not zeroed")
 	}
-	if h.FracAbove(10) != 0 {
+	if h.Tail().FracAbove(10) != 0 {
 		t.Fatal("FracAbove on empty histogram should be 0")
 	}
 	if h.Quantile(0.5) != 0 {
@@ -50,7 +50,7 @@ func TestInfiniteSamples(t *testing.T) {
 		t.Fatalf("count = %d", h.Count())
 	}
 	// Infinite samples are always "above".
-	if got := h.FracAbove(1 << 40); math.Abs(got-2.0/3.0) > 1e-9 {
+	if got := h.Tail().FracAbove(1 << 40); math.Abs(got-2.0/3.0) > 1e-9 {
 		t.Fatalf("FracAbove = %v, want 2/3", got)
 	}
 	// Mean ignores infinite samples.
@@ -91,8 +91,9 @@ func TestFracAboveBounds(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		h.Add(int64(r.Uint64n(1 << 24)))
 	}
+	tail := h.Tail()
 	f := func(v uint32) bool {
-		fr := h.FracAbove(int64(v))
+		fr := tail.FracAbove(int64(v))
 		return fr >= 0 && fr <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -23,41 +23,48 @@
 //
 // Cold misses appear as infinite reuse distances on a line's first access,
 // so they flow through the same path.
+//
+// A Model depends on its histogram alone, never on a cache configuration,
+// and is immutable once built: it keeps the SD(r) samples and a compact
+// stats.Tail snapshot, not the histogram. profiler.Epoch.Models builds an
+// epoch's three models once per profile, and every prediction of that
+// profile, on any configuration and from any goroutine, queries them.
 package statstack
 
 import (
 	"math"
 	"sort"
+	"unsafe"
 
 	"rppm/internal/stats"
 )
 
 // Model predicts LRU miss rates from one reuse-distance histogram.
 // It precomputes a piecewise-linear approximation of the expected
-// stack-distance function SD(r).
+// stack-distance function SD(r) and keeps an immutable snapshot of the
+// histogram's tail for the miss-rate queries, so a model is safe for
+// concurrent use and independent of its source histogram once built.
 type Model struct {
-	hist *stats.Histogram
+	tail *stats.Tail
 
 	// rs are reuse-distance sample points (ascending); sd[i] = E[SD(rs[i])].
 	rs []float64
 	sd []float64
 }
 
-// New builds a model from a reuse-distance histogram. The histogram is not
-// copied; it must not be modified afterwards.
+// New builds a model from a reuse-distance histogram. The histogram is
+// only read during the call.
 func New(h *stats.Histogram) *Model {
-	m := &Model{hist: h}
 	if h == nil || h.Count() == 0 {
-		return m
+		return &Model{}
 	}
-	// Sample points: dense at small distances, geometric beyond, out to the
-	// largest finite distance observed.
+	m := &Model{tail: h.Tail()}
 	maxR := float64(h.Max()) + 1
-	var rs []float64
-	for r := 1.0; r <= 64; r++ {
+	rs := make([]float64, 0, numPoints(maxR))
+	for r := 1.0; r <= denseMax && r < maxR; r++ {
 		rs = append(rs, r)
 	}
-	for r := 72.0; r < maxR; r *= 1.09 {
+	for r := geomStart; r < maxR; r *= geomStep {
 		rs = append(rs, math.Floor(r))
 	}
 	rs = append(rs, maxR)
@@ -69,7 +76,7 @@ func New(h *stats.Histogram) *Model {
 	prevC := 1.0 // P(RD > 0) = 1 for any access stream
 	acc := 0.0
 	for i, r := range rs {
-		c := h.FracAbove(int64(r) - 1) // P(RD > r-1) = P(RD >= r)
+		c := m.tail.FracAbove(int64(r) - 1) // P(RD > r-1) = P(RD >= r)
 		acc += (r - prevR) * (c + prevC) / 2
 		sd[i] = acc
 		prevR, prevC = r, c
@@ -77,6 +84,44 @@ func New(h *stats.Histogram) *Model {
 	m.rs = rs
 	m.sd = sd
 	return m
+}
+
+// Sample points: every distance up to denseMax, then geometric steps from
+// geomStart out to the largest finite distance observed, then that
+// distance plus one. All stop below it, so the grid is strictly ascending.
+const (
+	denseMax  = 64.0
+	geomStart = 72.0
+	geomStep  = 1.09
+)
+
+// numPoints returns the length of New's sample grid for a given maxR.
+func numPoints(maxR float64) int {
+	n := int(math.Min(denseMax, maxR-1)) + 1
+	for r := geomStart; r < maxR; r *= geomStep {
+		n++
+	}
+	return n
+}
+
+// SizeBytes returns the resident size of the model.
+func (m *Model) SizeBytes() int64 {
+	n := int64(unsafe.Sizeof(*m)) + 8*int64(len(m.rs)+len(m.sd))
+	if m.tail != nil {
+		n += m.tail.SizeBytes()
+	}
+	return n
+}
+
+// SizeFor returns New(h).SizeBytes() without building the model, so a
+// model built lazily can be charged at its eventual size up front.
+func SizeFor(h *stats.Histogram) int64 {
+	n := int64(unsafe.Sizeof(Model{}))
+	if h == nil || h.Count() == 0 {
+		return n
+	}
+	points := int64(numPoints(float64(h.Max()) + 1))
+	return n + 8*2*points + h.TailSizeBytes() // rs and sd, one float64 each
 }
 
 // StackDistance returns the expected stack distance for a reuse distance r.
@@ -136,7 +181,7 @@ func (m *Model) criticalReuseDistance(lines int) float64 {
 // maps to a stack distance of at least lines, plus all infinite-distance
 // accesses (cold misses and coherence invalidations).
 func (m *Model) MissRate(lines int) float64 {
-	if m.hist == nil || m.hist.Count() == 0 {
+	if m.tail == nil {
 		return 0
 	}
 	if lines <= 0 {
@@ -145,17 +190,17 @@ func (m *Model) MissRate(lines int) float64 {
 	rStar := m.criticalReuseDistance(lines)
 	if math.IsInf(rStar, 1) {
 		// Only cold/coherence misses.
-		return float64(m.hist.InfiniteCount()) / float64(m.hist.Count())
+		return float64(m.tail.InfiniteCount()) / float64(m.tail.Count())
 	}
 	// Misses are accesses with RD >= rStar (FracAbove counts Infinite).
-	return m.hist.FracAbove(int64(rStar) - 1)
+	return m.tail.FracAbove(int64(rStar) - 1)
 }
 
 // ColdMissRate returns the fraction of accesses that are cold or coherence
 // misses (infinite reuse distance) — a lower bound on any MissRate.
 func (m *Model) ColdMissRate() float64 {
-	if m.hist == nil || m.hist.Count() == 0 {
+	if m.tail == nil {
 		return 0
 	}
-	return float64(m.hist.InfiniteCount()) / float64(m.hist.Count())
+	return float64(m.tail.InfiniteCount()) / float64(m.tail.Count())
 }

@@ -211,6 +211,59 @@ func TestHotColdMixture(t *testing.T) {
 	}
 }
 
+// TestSampleGridAscending builds models from random histograms, many with
+// a largest distance below the dense range and many with Infinite
+// samples: the sample points must be strictly ascending and the
+// accumulated stack distances non-decreasing, or the trapezoid adds a
+// negative segment.
+func TestSampleGridAscending(t *testing.T) {
+	r := prng.New(21)
+	for i := 0; i < 500; i++ {
+		h := stats.NewHistogram()
+		maxV := []uint64{2, 11, 63, 64, 65, 70, 500, 1 << 14, 1 << 22}[i%9]
+		for n := 1 + r.Uint64n(300); n > 0; n-- {
+			h.Add(int64(r.Uint64n(maxV)))
+		}
+		h.AddN(stats.Infinite, r.Uint64n(40))
+		m := New(h)
+		if len(m.rs) != numPoints(float64(h.Max())+1) {
+			t.Fatalf("max %d: %d sample points, numPoints says %d", h.Max(), len(m.rs), numPoints(float64(h.Max())+1))
+		}
+		for k := 1; k < len(m.rs); k++ {
+			if m.rs[k] <= m.rs[k-1] {
+				t.Fatalf("max %d: sample points not ascending at %d: %v after %v", h.Max(), k, m.rs[k], m.rs[k-1])
+			}
+			if m.sd[k] < m.sd[k-1] {
+				t.Fatalf("max %d: stack distance decreases at r=%v: %v after %v", h.Max(), m.rs[k], m.sd[k], m.sd[k-1])
+			}
+		}
+		if got, want := m.SizeBytes(), SizeFor(h); got != want {
+			t.Fatalf("max %d: model is %d B, SizeFor says %d", h.Max(), got, want)
+		}
+	}
+}
+
+// TestSmallMaxStackDistance is the case a grid running past the largest
+// distance got wrong: values 1..10 and 20 Infinite samples.
+func TestSmallMaxStackDistance(t *testing.T) {
+	h := stats.NewHistogram()
+	for v := int64(1); v <= 10; v++ {
+		h.Add(v)
+	}
+	h.AddN(stats.Infinite, 20)
+	m := New(h)
+	if sd40, sd70 := m.StackDistance(40), m.StackDistance(70); sd70 < sd40 {
+		t.Fatalf("StackDistance(70) = %v < StackDistance(40) = %v", sd70, sd40)
+	}
+	crit := m.CriticalDistance(8)
+	if math.IsInf(crit, 1) || crit > float64(h.Max())+1 {
+		t.Fatalf("CriticalDistance(8) = %v, want a distance within the grid", crit)
+	}
+	if sd := m.StackDistance(crit); math.Abs(sd-8) > 1e-9 {
+		t.Fatalf("StackDistance(CriticalDistance(8)) = %v, want 8", sd)
+	}
+}
+
 func BenchmarkModelBuild(b *testing.B) {
 	addrs := randomStream(100000, 200000, 1)
 	h := recordReuse(addrs)
