@@ -18,6 +18,8 @@
 package ilp
 
 import (
+	"sync"
+
 	"rppm/internal/arch"
 	"rppm/internal/profiler"
 	"rppm/internal/trace"
@@ -108,6 +110,11 @@ func fuLimit(mix [trace.NumClasses]uint64, cfg *arch.Config) float64 {
 	return limit
 }
 
+// depthPool recycles windowILP's per-chunk dependence-depth scratch. It
+// runs once per epoch per configuration, and every entry is written
+// before it is read, so a recycled slice gives the same results.
+var depthPool = sync.Pool{New: func() any { return new([]float64) }}
+
 // windowILP walks the micro-traces, partitions them into ROB-sized chunks,
 // and returns the harmonic-mean IPC bound W/L plus the mean branch
 // resolution depth.
@@ -117,7 +124,8 @@ func windowILP(windows []profiler.Window, cfg *arch.Config) (ipc, cres float64, 
 	var branchDepthSum float64
 	var branchCount float64
 
-	depth := make([]float64, 0, rob)
+	dp := depthPool.Get().(*[]float64)
+	depth := *dp
 	for wi := range windows {
 		w := &windows[wi]
 		n := w.Len()
@@ -161,6 +169,8 @@ func windowILP(windows []profiler.Window, cfg *arch.Config) (ipc, cres float64, 
 			instrSum += chunkLen
 		}
 	}
+	*dp = depth[:0]
+	depthPool.Put(dp)
 	if instrSum > 0 && cycleSum > 0 {
 		ipc = instrSum / cycleSum
 		haveILP = true

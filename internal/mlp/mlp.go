@@ -17,7 +17,16 @@
 // [1, MSHRs].
 package mlp
 
-import "rppm/internal/profiler"
+import (
+	"sync"
+
+	"rppm/internal/profiler"
+)
+
+// chainPool recycles Compute's per-chunk chain-depth scratch. Compute runs
+// once per epoch per configuration, and every entry is written before it
+// is read, so a recycled slice gives the same results.
+var chainPool = sync.Pool{New: func() any { return new([]int) }}
 
 // Compute returns the predicted MLP for the given windows under a ROB of
 // robSize entries and mshrs outstanding-miss registers. isMiss decides
@@ -34,7 +43,8 @@ func Compute(windows []profiler.Window, robSize, mshrs int, isMiss func(rd int64
 	// chainDepth[i] = length of the longest chain of dependent LLC misses
 	// ending at instruction i (0 when i does not depend on any miss and is
 	// not one itself).
-	var chainDepth []int
+	cp := chainPool.Get().(*[]int)
+	chainDepth := *cp
 	for wi := range windows {
 		w := &windows[wi]
 		n := w.Len()
@@ -76,6 +86,8 @@ func Compute(windows []profiler.Window, robSize, mshrs int, isMiss func(rd int64
 			totalMisses += misses
 		}
 	}
+	*cp = chainDepth[:0]
+	chainPool.Put(cp)
 	if totalMisses == 0 {
 		return 1, 0
 	}

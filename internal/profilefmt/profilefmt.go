@@ -189,7 +189,7 @@ func appendEpoch(buf []byte, e *profiler.Epoch, compact bool) ([]byte, error) {
 func appendHistogram(buf []byte, h *stats.Histogram) []byte {
 	st := h.State()
 	var flags byte
-	if st.Linear != nil {
+	if st.HasLinear {
 		flags |= 1
 	}
 	buf = append(buf, flags)
@@ -197,33 +197,24 @@ func appendHistogram(buf []byte, h *stats.Histogram) []byte {
 	buf = binary.AppendUvarint(buf, st.Infinite)
 	buf = binary.LittleEndian.AppendUint64(buf, st.SumBits)
 	buf = binary.AppendUvarint(buf, uint64(st.Max))
-	if st.Linear != nil {
+	if st.HasLinear {
 		buf = appendSparse(buf, st.Linear)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(st.Log)))
+	buf = binary.AppendUvarint(buf, uint64(st.LogLen))
 	buf = appendSparse(buf, st.Log)
 	return buf
 }
 
-// appendSparse writes a count array as (nonzero count, then per nonzero
-// entry: gap from the previous nonzero index, value). The first gap is the
-// index itself; subsequent gaps are index − previousIndex − 1.
-func appendSparse(buf []byte, counts []uint64) []byte {
-	nnz := 0
-	for _, c := range counts {
-		if c != 0 {
-			nnz++
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(nnz))
+// appendSparse writes the non-zero entries of a count array as (entry
+// count, then per entry: gap from the previous index, value). The first
+// gap is the index itself; subsequent gaps are index − previousIndex − 1.
+func appendSparse(buf []byte, bins []stats.Bin) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(bins)))
 	prev := -1
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		buf = binary.AppendUvarint(buf, uint64(i-prev-1))
-		buf = binary.AppendUvarint(buf, c)
-		prev = i
+	for _, b := range bins {
+		buf = binary.AppendUvarint(buf, uint64(b.Index-prev-1))
+		buf = binary.AppendUvarint(buf, b.Count)
+		prev = b.Index
 	}
 	return buf
 }
@@ -435,8 +426,8 @@ func Decode(data []byte) (*profiler.Profile, profiler.Options, error) {
 		return nil, profiler.Options{}, err
 	}
 	p := &profiler.Profile{Name: h.Name, NumThreads: h.NumThreads, Compact: compact}
+	t := &threadDecoder{d: d, compact: compact}
 	for ti := 0; ti < h.NumThreads; ti++ {
-		t := &threadDecoder{d: d, compact: compact}
 		tp, err := t.thread(ti)
 		if err != nil {
 			return nil, profiler.Options{}, err
@@ -453,6 +444,10 @@ func Decode(data []byte) (*profiler.Profile, profiler.Options, error) {
 type threadDecoder struct {
 	d       *decoder
 	compact bool
+
+	// linear and log are scratch for a histogram's sparse entries, which
+	// Restore copies into the sealed form.
+	linear, log []stats.Bin
 }
 
 func (t *threadDecoder) thread(ti int) (*profiler.ThreadProfile, error) {
@@ -600,10 +595,11 @@ func (t *threadDecoder) histogram() (*stats.Histogram, error) {
 	}
 	st.Max = int64(max)
 	if flags&1 != 0 {
-		st.Linear = make([]uint64, stats.LinearLen)
-		if st.LinearNonZero, err = t.sparse(st.Linear, "linear bucket"); err != nil {
+		st.HasLinear = true
+		if t.linear, err = t.sparse(t.linear[:0], stats.LinearLen, "linear bucket"); err != nil {
 			return nil, err
 		}
+		st.Linear = t.linear
 	}
 	logLen, err := d.uvarint("log bucket count")
 	if err != nil {
@@ -612,12 +608,11 @@ func (t *threadDecoder) histogram() (*stats.Histogram, error) {
 	if logLen > stats.MaxLogLen {
 		return nil, fmt.Errorf("profilefmt: %d log buckets exceeds limit %d", logLen, stats.MaxLogLen)
 	}
-	if logLen > 0 {
-		st.Log = make([]uint64, logLen)
-	}
-	if st.LogNonZero, err = t.sparse(st.Log, "log bucket"); err != nil {
+	st.LogLen = int(logLen)
+	if t.log, err = t.sparse(t.log[:0], st.LogLen, "log bucket"); err != nil {
 		return nil, err
 	}
+	st.Log = t.log
 	h := stats.NewHistogram()
 	if err := h.Restore(st); err != nil {
 		return nil, fmt.Errorf("profilefmt: %w", err)
@@ -625,33 +620,35 @@ func (t *threadDecoder) histogram() (*stats.Histogram, error) {
 	return h, nil
 }
 
-// sparse decodes a count array written by appendSparse into counts and
-// returns its number of non-zero entries. Indices strictly increase and
-// zero values are rejected, so that number is exact.
-func (t *threadDecoder) sparse(counts []uint64, what string) (int, error) {
+// sparse decodes the non-zero entries of a count array of length n,
+// written by appendSparse, appending them to bins. Indices strictly
+// increase below n and zero values are rejected.
+func (t *threadDecoder) sparse(bins []stats.Bin, n int, what string) ([]stats.Bin, error) {
 	d := t.d
 	nnz, err := d.count(2, what)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	idx := -1
 	for i := 0; i < nnz; i++ {
 		gap, err := d.uvarint(what + " gap")
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		if gap >= uint64(len(counts)-idx-1) {
-			return 0, fmt.Errorf("profilefmt: %s index past array end", what)
+		if gap >= uint64(n-idx-1) {
+			return nil, fmt.Errorf("profilefmt: %s index past array end", what)
 		}
 		idx += int(gap) + 1
-		if counts[idx], err = d.uvarint(what + " value"); err != nil {
-			return 0, err
+		c, err := d.uvarint(what + " value")
+		if err != nil {
+			return nil, err
 		}
-		if counts[idx] == 0 {
-			return 0, fmt.Errorf("profilefmt: zero %s in sparse encoding", what)
+		if c == 0 {
+			return nil, fmt.Errorf("profilefmt: zero %s in sparse encoding", what)
 		}
+		bins = append(bins, stats.Bin{Index: idx, Count: c})
 	}
-	return nnz, nil
+	return bins, nil
 }
 
 func (t *threadDecoder) window() (profiler.Window, error) {

@@ -22,3 +22,31 @@ func BenchmarkProfilerInstr(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(total), "ns/instr")
 }
+
+// BenchmarkProfileManyEpochs profiles fluidanimate, whose 2,433 epochs at
+// scale 0.3 (scale 0.02 under -short) expose the per-epoch costs a barrier
+// loop hides: sealing each epoch's histograms and keeping its windows. It
+// reports ns/instr, and retained-MB, the finished profile's accounted
+// size (Profile.SizeBytes).
+func BenchmarkProfileManyEpochs(b *testing.B) {
+	scale := 0.3
+	if testing.Short() {
+		scale = 0.02
+	}
+	bm, err := workload.ByName("fluidanimate")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := bm.Build(1, scale)
+	total := prog.TotalInstructions()
+	var prof *profiler.Profile
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if prof, err = profiler.Run(prog, profiler.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(total), "ns/instr")
+	b.ReportMetric(float64(prof.SizeBytes())/1e6, "retained-MB")
+}

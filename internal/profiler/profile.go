@@ -160,12 +160,16 @@ func (t *ThreadProfile) TotalInstr() uint64 {
 	return n
 }
 
-// Aggregate merges all the thread's epochs into a single epoch profile.
+// Aggregate merges all the thread's epochs into a single epoch profile,
+// with its histograms sealed like those of a profiled epoch.
 func (t *ThreadProfile) Aggregate() *Epoch {
 	agg := NewEpoch()
 	for _, e := range t.Epochs {
 		agg.Merge(e)
 	}
+	agg.PrivateRD.Seal()
+	agg.GlobalRD.Seal()
+	agg.InstrRD.Seal()
 	return agg
 }
 

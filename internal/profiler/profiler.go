@@ -62,21 +62,19 @@ var bufPool = sync.Pool{
 
 // epochArena slab-allocates the retained profile objects. A profiling run
 // creates one epoch per synchronization event per thread — each an Epoch,
-// a branch profile and three histograms, whose exact-count arrays are
-// 32 KB apiece — and allocating them object by object dominated the
-// profiler's allocation count (BenchmarkProfilerInstr reported ~1800
-// allocations per run before slabbing). The arena is single-goroutine
-// (profiling is a serial functional execution); the finished profile keeps
-// the slabs alive, exactly as individually-allocated objects would.
+// a branch profile and three histograms — and allocating them object by
+// object dominated the profiler's allocation count (BenchmarkProfilerInstr
+// reported ~1800 allocations per run before slabbing). The histograms are
+// sealed (sparse) when their epoch closes, so the slab holds only their
+// small structs; the dense arrays they were recorded in are per-thread
+// scratch. The arena is single-goroutine (profiling is a serial functional
+// execution); the finished profile keeps the slabs alive, exactly as
+// individually-allocated objects would.
 type epochArena struct {
 	epochs   []Epoch
 	branches []branchmodel.Profile
 	hists    []stats.Histogram
-	linear   []uint64
 	windows  []Window
-	// alloc is the one closure handed to every histogram (allocating a
-	// closure per histogram would itself cost an allocation per epoch).
-	alloc func(n int) []uint64
 	// sites slab-allocates the per-epoch branch-site tables, the last
 	// individually-allocated object class a profiling run created per
 	// epoch. siteHint tracks the largest site count an epoch has recorded
@@ -89,36 +87,24 @@ type epochArena struct {
 
 const (
 	epochChunk = 32
-	// winsPerEpoch is the slab capacity handed to an epoch's Windows slice
-	// on its first flush; epochs sampling more windows fall back to
-	// ordinary append growth.
-	winsPerEpoch = 8
+	// windowChunk is the number of Window structs per slab chunk.
+	windowChunk = 64
 )
 
-// windowSlice carves an empty Windows slice with winsPerEpoch capacity.
-func (a *epochArena) windowSlice() []Window {
-	if len(a.windows) < winsPerEpoch {
-		a.windows = make([]Window, 8*winsPerEpoch)
+// keepWindows copies an epoch's sampled windows into exactly sized slab
+// space, so a retained epoch holds no spare Window capacity.
+func (a *epochArena) keepWindows(ws []Window) []Window {
+	n := len(ws)
+	if n == 0 {
+		return nil
 	}
-	s := a.windows[:0:winsPerEpoch]
-	a.windows = a.windows[winsPerEpoch:]
-	return s
-}
-
-func newEpochArena() *epochArena {
-	a := &epochArena{}
-	a.alloc = a.allocUint64
-	return a
-}
-
-// allocUint64 carves a zeroed n-slice from the arena's uint64 slab.
-func (a *epochArena) allocUint64(n int) []uint64 {
-	if len(a.linear) < n {
-		a.linear = make([]uint64, 8*n)
+	if len(a.windows) < n {
+		a.windows = make([]Window, max(windowChunk, n))
 	}
-	b := a.linear[:n:n]
-	a.linear = a.linear[n:]
-	return b
+	kept := a.windows[:n:n]
+	a.windows = a.windows[n:]
+	copy(kept, ws)
+	return kept
 }
 
 // newEpoch is the arena equivalent of NewEpoch.
@@ -135,9 +121,6 @@ func (a *epochArena) newEpoch() *Epoch {
 	e.Branch.PresizeIn(&a.sites, a.siteHint)
 	e.PrivateRD, e.GlobalRD, e.InstrRD = &a.hists[0], &a.hists[1], &a.hists[2]
 	a.hists = a.hists[3:]
-	e.PrivateRD.SetLinearAllocator(a.alloc)
-	e.GlobalRD.SetLinearAllocator(a.alloc)
-	e.InstrRD.SetLinearAllocator(a.alloc)
 	return e
 }
 
@@ -217,13 +200,20 @@ type threadState struct {
 	profile *ThreadProfile
 	epoch   *Epoch
 
+	// privRD, globRD and instrRD record the open epoch's reuse distances
+	// in dense arrays reused across epochs; closeEpoch seals their
+	// contents into the epoch's histograms, which share nothing with them.
+	privRD, globRD, instrRD stats.Histogram
+
 	// arena supplies epoch objects; wins supplies this thread's window
-	// arrays; winBuf is the one open window (flushed by value into the
-	// epoch, so the struct is reusable).
-	arena   *epochArena
-	wins    winArena
-	winBuf  Window
-	winSize int
+	// arrays; winBuf is the one open window (flushed by value into
+	// epochWins, so the struct is reusable); epochWins collects the open
+	// epoch's windows until closeEpoch keeps them.
+	arena     *epochArena
+	wins      winArena
+	winBuf    Window
+	epochWins []Window
+	winSize   int
 
 	// Window recording state. winPhase is the position within the current
 	// sampling interval: a window records while winPhase < WindowSize.
@@ -302,7 +292,7 @@ func Run(p trace.Program, opt Options) (*Profile, error) {
 		joinWaiters:  make(map[int][]int),
 		global:       *hashmap.New[globalRec](8192),
 	}
-	arena := newEpochArena()
+	arena := &epochArena{}
 	for t := 0; t < p.NumThreads(); t++ {
 		buf := bufPool.Get().(*[]trace.Item)
 		defer bufPool.Put(buf)
@@ -393,6 +383,11 @@ func (ex *exec) describeBlocked() string {
 // closeEpoch finalizes the thread's current epoch at event e.
 func (ts *threadState) closeEpoch(e trace.Event) {
 	ts.flushWindow()
+	ts.privRD.SealInto(ts.epoch.PrivateRD)
+	ts.globRD.SealInto(ts.epoch.GlobalRD)
+	ts.instrRD.SealInto(ts.epoch.InstrRD)
+	ts.epoch.Windows = ts.arena.keepWindows(ts.epochWins)
+	ts.epochWins = ts.epochWins[:0]
 	ts.profile.Epochs = append(ts.profile.Epochs, ts.epoch)
 	ts.profile.Events = append(ts.profile.Events, e)
 	if n := ts.epoch.Branch.NumSites(); n > ts.arena.siteHint {
@@ -406,10 +401,7 @@ func (ts *threadState) flushWindow() {
 	if ts.win != nil {
 		ts.wins.close(ts.win, ts.winSize)
 		if ts.win.Len() > 0 {
-			if ts.epoch.Windows == nil {
-				ts.epoch.Windows = ts.arena.windowSlice()
-			}
-			ts.epoch.Windows = append(ts.epoch.Windows, *ts.win)
+			ts.epochWins = append(ts.epochWins, *ts.win)
 		}
 	}
 	ts.win = nil
@@ -529,9 +521,9 @@ func (ex *exec) instr(tid int, in *trace.Instr) {
 	iline := in.PC >> lineShift
 	if iline != ts.lastILine {
 		if last, ok := ts.ilast.Upsert(iline, ts.ilineCount); ok {
-			ep.InstrRD.Add(int64(ts.ilineCount - last - 1))
+			ts.instrRD.Add(int64(ts.ilineCount - last - 1))
 		} else {
-			ep.InstrRD.Add(stats.Infinite)
+			ts.instrRD.Add(stats.Infinite)
 		}
 		ts.ilineCount++
 		ep.ILineAccesses++
@@ -553,7 +545,7 @@ func (ex *exec) instr(tid int, in *trace.Instr) {
 		} else {
 			globalRD = stats.Infinite
 		}
-		ep.GlobalRD.Add(globalRD)
+		ts.globRD.Add(globalRD)
 
 		if rec, ok := ts.dlast.Upsert(line, [2]uint64{ts.dcount, ex.globalMem}); ok {
 			if g.writerP != 0 && int(g.writerP-1) != tid && g.wGlobal > rec[1] && !ex.opt.NoCoherence {
@@ -567,7 +559,7 @@ func (ex *exec) instr(tid int, in *trace.Instr) {
 		} else {
 			privateRD = stats.Infinite
 		}
-		ep.PrivateRD.Add(privateRD)
+		ts.privRD.Add(privateRD)
 
 		g.last = ex.globalMem
 		if in.Class == trace.Store {

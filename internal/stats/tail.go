@@ -5,10 +5,11 @@ import (
 	"unsafe"
 )
 
-// Tail is an immutable snapshot of a histogram's upper tail: everything
-// CountAbove needs, without the 32 KB exact-count array. The StatStack
-// model keeps one per reuse-distance histogram and probes it at hundreds
-// of points per build and once per miss-rate query.
+// Tail is the sealed, sparse form of a histogram: everything CountAbove,
+// Quantile and the profile codec need, without the 32 KB exact-count
+// array. A sealed Histogram stores one and shares it with every reader —
+// the StatStack model of the histogram probes it at hundreds of points per
+// build and once per miss-rate query — so a Tail is immutable.
 //
 // CountAbove on a Tail is bit-identical to a per-element float
 // accumulation over the source histogram. Every count and every partial
@@ -25,55 +26,70 @@ type Tail struct {
 	linSuf []uint64 // linSuf[i] = Σ counts of linVal[i:]; one trailing 0
 
 	logs []tailBucket // non-zero log buckets, ascending
+
+	// The shape of the source's dense arrays, which the profile codec
+	// writes: whether the exact-count array was in use, and the length of
+	// the log-bucket array.
+	hasLinear bool
+	logLen    int32
 }
 
-// tailBucket is one non-empty log bucket covering [lo, hi).
+// tailBucket is one non-empty log bucket: its index and count.
 type tailBucket struct {
-	lo, hi int64
-	c      uint64
+	b int32
+	c uint64
 }
 
-// Tail snapshots h's tail. The snapshot shares no storage with h, which
-// may be mutated or released afterwards.
+// noSuffix is the suffix-sum array of a tail without linear entries,
+// shared rather than allocated per histogram.
+var noSuffix = []uint64{0}
+
+// suffixSlice returns a zeroed suffix-sum array for n linear entries.
+func suffixSlice(n int) []uint64 {
+	if n == 0 {
+		return noSuffix
+	}
+	return make([]uint64, n+1)
+}
+
+// Tail returns h's sealed form. For a sealed histogram that is its own
+// storage, shared and immutable; for an open one it is a fresh snapshot
+// sharing no storage with h, which may be mutated or released afterwards.
 func (h *Histogram) Tail() *Tail {
+	if h.tail != nil {
+		return h.tail
+	}
 	t := &Tail{
-		infinite: h.infinite,
-		count:    h.count,
-		linVal:   make([]uint16, 0, h.nzLinear),
-		logs:     make([]tailBucket, 0, h.nzLog),
+		infinite:  h.infinite,
+		count:     h.count,
+		hasLinear: len(h.linear) != 0,
+		logLen:    int32(len(h.log)),
+		linVal:    make([]uint16, 0, h.nzLinear),
+		linSuf:    suffixSlice(int(h.nzLinear)),
+		logs:      make([]tailBucket, 0, h.nzLog),
 	}
-	for v, c := range h.linear {
-		if c != 0 {
-			t.linVal = append(t.linVal, uint16(v))
-		}
-	}
-	t.linSuf = make([]uint64, len(t.linVal)+1)
+	h.eachLinear(func(v int, c uint64) {
+		t.linVal = append(t.linVal, uint16(v))
+		t.linSuf[len(t.linVal)-1] = c
+	})
 	for i := len(t.linVal) - 1; i >= 0; i-- {
-		t.linSuf[i] = t.linSuf[i+1] + h.linear[t.linVal[i]]
+		t.linSuf[i] += t.linSuf[i+1]
 	}
 	for b, c := range h.log {
 		if c != 0 {
-			lo, hi := logBucketBounds(b)
-			t.logs = append(t.logs, tailBucket{lo, hi, c})
+			t.logs = append(t.logs, tailBucket{int32(b), c})
 		}
 	}
 	return t
 }
 
-// TailSizeBytes returns what h.Tail().SizeBytes() would, without building
-// the snapshot, so owners can charge a tail before it exists.
-func (h *Histogram) TailSizeBytes() int64 {
-	return tailSize(int(h.nzLinear), int(h.nzLog))
-}
-
 // SizeBytes returns the resident size of the snapshot.
-func (t *Tail) SizeBytes() int64 { return tailSize(len(t.linVal), len(t.logs)) }
-
-func tailSize(nLin, nLog int) int64 {
-	return int64(unsafe.Sizeof(Tail{})) +
-		int64(nLin)*int64(unsafe.Sizeof(uint16(0))) +
-		int64(nLin+1)*int64(unsafe.Sizeof(uint64(0))) +
-		int64(nLog)*int64(unsafe.Sizeof(tailBucket{}))
+func (t *Tail) SizeBytes() int64 {
+	nLin, nLog := int64(len(t.linVal)), int64(len(t.logs))
+	return int64(unsafe.Sizeof(*t)) +
+		nLin*int64(unsafe.Sizeof(uint16(0))) +
+		(nLin+1)*int64(unsafe.Sizeof(uint64(0))) +
+		nLog*int64(unsafe.Sizeof(tailBucket{}))
 }
 
 // Count returns the total number of samples, including Infinite ones.
@@ -95,12 +111,16 @@ func (t *Tail) CountAbove(v int64) float64 {
 		total += float64(t.linSuf[i])
 	}
 	// Buckets wholly at or below v contribute nothing; they form a prefix.
-	i := sort.Search(len(t.logs), func(i int) bool { return t.logs[i].hi-1 > v })
+	i := sort.Search(len(t.logs), func(i int) bool {
+		_, hi := logBucketBounds(int(t.logs[i].b))
+		return hi-1 > v
+	})
 	for _, b := range t.logs[i:] {
-		if b.lo > v {
+		lo, hi := logBucketBounds(int(b.b))
+		if lo > v {
 			total += float64(b.c)
 		} else {
-			frac := float64(b.hi-1-v) / float64(b.hi-b.lo)
+			frac := float64(hi-1-v) / float64(hi-lo)
 			total += float64(b.c) * frac
 		}
 	}

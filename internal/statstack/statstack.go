@@ -25,10 +25,13 @@
 // so they flow through the same path.
 //
 // A Model depends on its histogram alone, never on a cache configuration,
-// and is immutable once built: it keeps the SD(r) samples and a compact
-// stats.Tail snapshot, not the histogram. profiler.Epoch.Models builds an
-// epoch's three models once per profile, and every prediction of that
-// profile, on any configuration and from any goroutine, queries them.
+// and is immutable once built: it keeps the SD(r) samples and the
+// histogram's stats.Tail, not the histogram. For a sealed histogram (every
+// histogram of a finished profile) that Tail is the histogram's own sparse
+// storage, shared rather than copied, and charged to the histogram's size
+// rather than the model's. profiler.Epoch.Models builds an epoch's three
+// models once per profile, and every prediction of that profile, on any
+// configuration and from any goroutine, queries them.
 package statstack
 
 import (
@@ -41,9 +44,9 @@ import (
 
 // Model predicts LRU miss rates from one reuse-distance histogram.
 // It precomputes a piecewise-linear approximation of the expected
-// stack-distance function SD(r) and keeps an immutable snapshot of the
-// histogram's tail for the miss-rate queries, so a model is safe for
-// concurrent use and independent of its source histogram once built.
+// stack-distance function SD(r) and keeps the histogram's immutable Tail
+// for the miss-rate queries, so a model is safe for concurrent use and
+// unaffected by later changes to its source histogram.
 type Model struct {
 	tail *stats.Tail
 
@@ -53,7 +56,8 @@ type Model struct {
 }
 
 // New builds a model from a reuse-distance histogram. The histogram is
-// only read during the call.
+// only read; a sealed one shares its Tail with the model, an open one is
+// snapshotted and may change afterwards.
 func New(h *stats.Histogram) *Model {
 	if h == nil || h.Count() == 0 {
 		return &Model{}
@@ -104,13 +108,12 @@ func numPoints(maxR float64) int {
 	return n
 }
 
-// SizeBytes returns the resident size of the model.
+// SizeBytes returns the resident size of the model: the struct and its
+// SD(r) samples. The tail snapshot is not charged: for a sealed source
+// histogram it is the histogram's own storage, charged by
+// Histogram.SizeBytes.
 func (m *Model) SizeBytes() int64 {
-	n := int64(unsafe.Sizeof(*m)) + 8*int64(len(m.rs)+len(m.sd))
-	if m.tail != nil {
-		n += m.tail.SizeBytes()
-	}
-	return n
+	return int64(unsafe.Sizeof(*m)) + 8*int64(len(m.rs)+len(m.sd))
 }
 
 // SizeFor returns New(h).SizeBytes() without building the model, so a
@@ -121,7 +124,7 @@ func SizeFor(h *stats.Histogram) int64 {
 		return n
 	}
 	points := int64(numPoints(float64(h.Max()) + 1))
-	return n + 8*2*points + h.TailSizeBytes() // rs and sd, one float64 each
+	return n + 8*2*points // rs and sd, one float64 each
 }
 
 // StackDistance returns the expected stack distance for a reuse distance r.
