@@ -13,8 +13,11 @@ import (
 // on each of the 16 arch.SweepSpace configs, reported as ms/config. The
 // profile is fluidanimate's, whose 2,433 epochs (at scale 0.3) make the
 // per-epoch model cost visible. cold decodes a fresh copy of the profile
-// outside the timer before every sweep, so the one-time StatStack model
-// build is counted; warm reuses one profile whose models are built.
+// outside the timer before every sweep, so it is a first sweep: the
+// one-time StatStack model build is counted, and the epochs' memos start
+// empty, so every distinct ROB size, critical distance and predictor size
+// runs its window walk or branch model once. warm reuses one profile that
+// has been swept before: its models are built and every memo lookup hits.
 func BenchmarkPredictSweep16(b *testing.B) {
 	scale := 0.3
 	if testing.Short() {

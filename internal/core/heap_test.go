@@ -24,7 +24,9 @@ func liveHeap() int64 {
 // TestProfileHeapTruth checks that a profile's accounted size, which the
 // engine's byte budget charges, matches what it holds on the heap: the
 // live-heap growth across profiler.Run, without the epochs' StatStack
-// models, and again with them once a prediction has built them. The
+// models and memos, again with the models once a prediction has built
+// them, and again once all 16 arch.SweepSpace configs have filled the
+// memos (which are charged at their full capacity throughout). The
 // tolerance is
 // |accounted − heap| ≤ 25% of heap + 256 KB: the accounting ignores
 // allocator size classes and slab slack, but a retained object it does not
@@ -55,13 +57,14 @@ func TestProfileHeapTruth(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The epochs' models are charged at their eventual size before
-			// they are built; leave that charge out until they are.
+			// The epochs' models and memos are charged at their eventual
+			// size before they are built; leave that charge out until a
+			// prediction builds them.
 			var models int64
 			for _, th := range prof.Threads {
 				for _, ep := range th.Epochs {
 					models += int64(unsafe.Sizeof(profiler.Models{})) + statstack.SizeFor(ep.PrivateRD) +
-						statstack.SizeFor(ep.GlobalRD) + statstack.SizeFor(ep.InstrRD)
+						statstack.SizeFor(ep.GlobalRD) + statstack.SizeFor(ep.InstrRD) + profiler.MemoBytes
 				}
 			}
 			check := func(stage string, acc int64) {
@@ -76,7 +79,17 @@ func TestProfileHeapTruth(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("profile with models", prof.SizeBytes())
+			for _, cfg := range arch.SweepSpace(16) {
+				if _, err := Predict(prof, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("profile after a 16-config sweep", prof.SizeBytes())
 			runtime.KeepAlive(prof)
+			// The program's own buffers were live at the base measurement;
+			// releasing them during the measured run would offset the
+			// profile's growth.
+			runtime.KeepAlive(prog)
 		})
 	}
 }

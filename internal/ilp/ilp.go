@@ -33,31 +33,39 @@ type Result struct {
 	Cres float64
 }
 
-// classLatency returns the execution latency used for critical-path
-// weighting. Loads are weighted with the L1 hit latency: the base component
-// assumes cache hits, misses are charged to the memory components.
-func classLatency(c trace.Class, cfg *arch.Config) float64 {
-	if c == trace.Load {
-		return float64(cfg.L1D.HitLatency)
-	}
-	return float64(c.ExecLatency())
+// Bound is the micro-trace part of Analyze, the walk over ROB-sized
+// chunks of the windows. It reads only the ROB size and the L1D hit
+// latency of a configuration, so a caller predicting many configurations
+// may keep one Bound per distinct pair of those and finish each
+// prediction with Result.
+type Bound struct {
+	// IPC is the harmonic-mean window bound W/L, or 0 when no chunk was
+	// long enough to estimate it (a bound, when present, is positive).
+	IPC float64
+	// Cres is the mean branch resolution depth, or 0 when the windows
+	// hold no branch (a branch's depth is at least its own latency).
+	Cres float64
 }
 
 // Analyze computes Deff and Cres for a set of micro-trace windows under a
 // configuration. mix is the epoch's instruction-class distribution used for
 // functional-unit contention.
 func Analyze(windows []profiler.Window, mix [trace.NumClasses]uint64, cfg *arch.Config) Result {
+	return Walk(windows, cfg.ROBSize, cfg.L1D.HitLatency).Result(mix, cfg)
+}
+
+// Result combines the walk's bound with the dispatch width and the
+// functional-unit limit of mix under cfg.
+func (b Bound) Result(mix [trace.NumClasses]uint64, cfg *arch.Config) Result {
 	res := Result{
 		Deff: float64(cfg.DispatchWidth),
 		Cres: float64(cfg.L1D.HitLatency), // floor when no branches observed
 	}
-
-	ilpIPC, cres, haveILP, haveBranches := windowILP(windows, cfg)
-	if haveILP && ilpIPC < res.Deff {
-		res.Deff = ilpIPC
+	if b.IPC > 0 && b.IPC < res.Deff {
+		res.Deff = b.IPC
 	}
-	if haveBranches {
-		res.Cres = cres
+	if b.Cres > 0 {
+		res.Cres = b.Cres
 	}
 
 	if fu := fuLimit(mix, cfg); fu < res.Deff {
@@ -110,16 +118,27 @@ func fuLimit(mix [trace.NumClasses]uint64, cfg *arch.Config) float64 {
 	return limit
 }
 
-// depthPool recycles windowILP's per-chunk dependence-depth scratch. It
-// runs once per epoch per configuration, and every entry is written
-// before it is read, so a recycled slice gives the same results.
+// classLatency returns the execution latency used for critical-path
+// weighting. Loads are weighted with the L1 hit latency: the base component
+// assumes cache hits, misses are charged to the memory components.
+func classLatency(c trace.Class, loadLat float64) float64 {
+	if c == trace.Load {
+		return loadLat
+	}
+	return float64(c.ExecLatency())
+}
+
+// depthPool recycles Walk's per-chunk dependence-depth scratch. It runs
+// once per epoch per distinct (ROB size, load latency), and every entry
+// is written before it is read, so a recycled slice gives the same
+// results.
 var depthPool = sync.Pool{New: func() any { return new([]float64) }}
 
-// windowILP walks the micro-traces, partitions them into ROB-sized chunks,
-// and returns the harmonic-mean IPC bound W/L plus the mean branch
-// resolution depth.
-func windowILP(windows []profiler.Window, cfg *arch.Config) (ipc, cres float64, haveILP, haveBranches bool) {
-	rob := cfg.ROBSize
+// Walk partitions the micro-traces into chunks of rob instructions and
+// returns the harmonic-mean IPC bound W/L plus the mean branch
+// resolution depth, weighting loads with loadLatency (see classLatency).
+func Walk(windows []profiler.Window, rob, loadLatency int) Bound {
+	loadLat := float64(loadLatency)
 	var cycleSum, instrSum float64
 	var branchDepthSum float64
 	var branchCount float64
@@ -137,7 +156,7 @@ func windowILP(windows []profiler.Window, cfg *arch.Config) (ipc, cres float64, 
 			depth = depth[:0]
 			chunkCrit := 0.0
 			for i := start; i < end; i++ {
-				lat := classLatency(w.Classes[i], cfg)
+				lat := classLatency(w.Classes[i], loadLat)
 				d := lat
 				if p := w.Dep1[i]; p >= 0 && int(p) >= start {
 					if v := depth[int(p)-start] + lat; v > d {
@@ -171,13 +190,12 @@ func windowILP(windows []profiler.Window, cfg *arch.Config) (ipc, cres float64, 
 	}
 	*dp = depth[:0]
 	depthPool.Put(dp)
+	var b Bound
 	if instrSum > 0 && cycleSum > 0 {
-		ipc = instrSum / cycleSum
-		haveILP = true
+		b.IPC = instrSum / cycleSum
 	}
 	if branchCount > 0 {
-		cres = branchDepthSum / branchCount
-		haveBranches = true
+		b.Cres = branchDepthSum / branchCount
 	}
-	return
+	return b
 }

@@ -2,8 +2,6 @@ package interval
 
 import (
 	"rppm/internal/arch"
-	"rppm/internal/ilp"
-	"rppm/internal/mlp"
 	"rppm/internal/profiler"
 )
 
@@ -24,7 +22,7 @@ type Diagnosis struct {
 // Diagnose recomputes the internals of PredictEpoch for inspection.
 func Diagnose(ep *profiler.Epoch, cfg *arch.Config) Diagnosis {
 	var d Diagnosis
-	res := ilp.Analyze(ep.Windows, ep.Mix, cfg)
+	res := windowBound(ep, cfg).Result(ep.Mix, cfg)
 	d.Deff = res.Deff
 	d.Cres = res.Cres
 	d.BranchMiss = ep.Branch.MissRate(cfg.BPredBytes)
@@ -37,8 +35,7 @@ func Diagnose(ep *profiler.Epoch, cfg *arch.Config) Diagnosis {
 		d.MissRate.L1D = pm.MissRate(cfg.L1D.Lines())
 		d.MissRate.L2 = minF(pm.MissRate(cfg.L2.Lines()), d.MissRate.L1D)
 		d.MissRate.LLC = minF(gm.MissRate(cfg.LLC.Lines()), d.MissRate.L2)
-		d.MLP, d.MLPMisses = mlp.Compute(ep.Windows, cfg.ROBSize, cfg.MSHRs,
-			llcMissPredicate(gm, cfg))
+		d.MLP, d.MLPMisses = windowMLP(ep, gm, cfg)
 	} else {
 		d.MLP = 1
 	}

@@ -15,8 +15,13 @@
 //
 // The StatStack cache models are configuration-independent: each epoch's
 // three are built once per profile (profiler.Epoch.Models) and shared by
-// every prediction. Per configuration, PredictEpoch pays only the ILP and
-// MLP window analyses, the branch model and the miss-rate queries.
+// every prediction. The ILP and MLP window walks and the branch model
+// read only a few configuration fields, so their results are memoized on
+// the epoch keyed by exactly those fields (profiler.Epoch.MemoILP,
+// MemoMLP, MemoMispredicts): a design-space sweep runs each once per
+// distinct setting, not once per configuration. Per configuration,
+// PredictEpoch then pays the memo lookups, the cheap per-config finishing
+// steps (functional-unit limit, MSHR clamp) and the miss-rate queries.
 package interval
 
 import (
@@ -129,11 +134,13 @@ func PredictEpochOpts(ep *profiler.Epoch, cfg *arch.Config, opts ModelOptions) S
 		return st
 	}
 
-	res := ilp.Analyze(ep.Windows, ep.Mix, cfg)
+	res := windowBound(ep, cfg).Result(ep.Mix, cfg)
 	st.Base = float64(ep.Instr) / res.Deff
 
 	// Branch component: mispredictions times resolution plus refill.
-	mispredicts := ep.Branch.Mispredicts(cfg.BPredBytes)
+	mispredicts := ep.MemoMispredicts(cfg.BPredBytes, func() float64 {
+		return ep.Branch.Mispredicts(cfg.BPredBytes)
+	})
 	st.Branch = mispredicts * (res.Cres + float64(cfg.FrontendDepth))
 
 	hide := overlapWindow(cfg, res.Deff)
@@ -168,8 +175,7 @@ func PredictEpochOpts(ep *profiler.Epoch, cfg *arch.Config, opts ModelOptions) S
 			// the base component, so no hide term applies — only MLP.
 			mlpVal := 1.0
 			if !opts.NoMLP {
-				raw, _ := mlp.Compute(ep.Windows, cfg.ROBSize, cfg.MSHRs,
-					llcMissPredicate(gm, cfg))
+				raw, _ := windowMLP(ep, gm, cfg)
 				mlpVal = effectiveMLP(raw)
 			}
 			st.MemDRAM = loads * mLLC * float64(cfg.MemLatency) / mlpVal
@@ -214,11 +220,34 @@ func effectiveMLP(raw float64) float64 {
 	return 1 + mlpStagger*(raw-1)
 }
 
+// windowBound returns ilp.Walk's bound for the epoch under cfg, from the
+// epoch's memo when a configuration with the same ROB size and L1D hit
+// latency was predicted before.
+func windowBound(ep *profiler.Epoch, cfg *arch.Config) ilp.Bound {
+	ipc, cres := ep.MemoILP(cfg.ROBSize, cfg.L1D.HitLatency, func() (float64, float64) {
+		b := ilp.Walk(ep.Windows, cfg.ROBSize, cfg.L1D.HitLatency)
+		return b.IPC, b.Cres
+	})
+	return ilp.Bound{IPC: ipc, Cres: cres}
+}
+
+// windowMLP is mlp.Compute for the epoch under cfg, with gm predicting
+// the LLC. The window walk comes from the epoch's memo when a
+// configuration with the same ROB size and LLC critical distance was
+// predicted before; the MSHR clamp is applied per call.
+func windowMLP(ep *profiler.Epoch, gm *statstack.Model, cfg *arch.Config) (float64, int) {
+	crit := gm.CriticalDistance(cfg.LLC.Lines())
+	weighted, misses := ep.MemoMLP(cfg.ROBSize, crit, func() (float64, int) {
+		return mlp.Walk(ep.Windows, cfg.ROBSize, llcMissPredicate(crit))
+	})
+	return mlp.Mean(weighted, misses, cfg.MSHRs)
+}
+
 // llcMissPredicate returns the per-access LLC hit/miss classifier used by
 // the MLP model: infinite reuse distances (cold and coherence misses)
-// always miss; finite distances miss beyond StatStack's critical distance.
-func llcMissPredicate(gm *statstack.Model, cfg *arch.Config) func(rd int64) bool {
-	crit := gm.CriticalDistance(cfg.LLC.Lines())
+// always miss; finite distances miss at or beyond crit, StatStack's
+// critical distance for the LLC.
+func llcMissPredicate(crit float64) func(rd int64) bool {
 	return func(rd int64) bool {
 		return rd == stats.Infinite || float64(rd) >= crit
 	}

@@ -164,3 +164,62 @@ func TestEffectiveMLP(t *testing.T) {
 		t.Fatalf("effectiveMLP(5) = %v, want in (1, 5)", e)
 	}
 }
+
+// TestMemoSeparatesSettings predicts one profile on configs that each
+// change one field a memoized analysis reads (ROB size, L1D hit latency,
+// LLC size, MSHRs, predictor size), in turn and back, so every prediction
+// after the first meets a memo filled by the others. Each epoch's stack
+// must equal its stack on a fresh profile.
+func TestMemoSeparatesSettings(t *testing.T) {
+	base := arch.Base()
+	variants := []func(c *arch.Config){
+		func(c *arch.Config) {},
+		func(c *arch.Config) { c.ROBSize *= 2 },
+		func(c *arch.Config) { c.L1D.HitLatency++ },
+		// An LLC small enough that its critical distance falls among the
+		// windows' finite reuse distances, so the MLP walk depends on it.
+		func(c *arch.Config) { c.LLC.SizeBytes = 64 << 10 },
+		func(c *arch.Config) { c.MSHRs = 2 },
+		func(c *arch.Config) { c.BPredBytes *= 4 },
+	}
+	cfgs := make([]arch.Config, len(variants))
+	for i, v := range variants {
+		cfgs[i] = base
+		v(&cfgs[i])
+		if err := cfgs[i].Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prof := profileOf(t, "canneal", 0.05)
+	for pass := 0; pass < 2; pass++ {
+		for i := range cfgs {
+			fresh := profileOf(t, "canneal", 0.05)
+			for th := range prof.Threads {
+				for k, ep := range prof.Threads[th].Epochs {
+					got := PredictEpoch(ep, &cfgs[i])
+					if want := PredictEpoch(fresh.Threads[th].Epochs[k], &cfgs[i]); got != want {
+						t.Fatalf("pass %d, variant %d, thread %d epoch %d: %v, fresh profile %v", pass, i, th, k, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDiagnoseMemoHit checks that Diagnose answers from a filled memo
+// exactly as from an empty one.
+func TestDiagnoseMemoHit(t *testing.T) {
+	cfg := arch.Base()
+	prof := profileOf(t, "nw", 0.05)
+	agg := prof.Threads[1].Aggregate()
+	want := Diagnose(prof.Threads[1].Aggregate(), &cfg)
+	PredictEpoch(agg, &cfg)
+	if got := Diagnose(agg, &cfg); got != want {
+		t.Fatalf("Diagnose after a prediction filled the memo: %+v, on a fresh aggregate %+v", got, want)
+	}
+	ep := prof.Threads[1].Epochs[0]
+	first := Diagnose(ep, &cfg)
+	if got := Diagnose(ep, &cfg); got != first {
+		t.Fatalf("second Diagnose of an epoch: %+v, first %+v", got, first)
+	}
+}

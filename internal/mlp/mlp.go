@@ -23,9 +23,10 @@ import (
 	"rppm/internal/profiler"
 )
 
-// chainPool recycles Compute's per-chunk chain-depth scratch. Compute runs
-// once per epoch per configuration, and every entry is written before it
-// is read, so a recycled slice gives the same results.
+// chainPool recycles Walk's per-chunk chain-depth scratch. Walk runs
+// once per epoch per distinct (ROB size, miss predicate), and every entry
+// is written before it is read, so a recycled slice gives the same
+// results.
 var chainPool = sync.Pool{New: func() any { return new([]int) }}
 
 // Compute returns the predicted MLP for the given windows under a ROB of
@@ -34,11 +35,19 @@ var chainPool = sync.Pool{New: func() any { return new([]int) }}
 // The second return value is the number of LLC-missing loads observed in
 // the windows (model inputs' sample size), useful for diagnostics.
 func Compute(windows []profiler.Window, robSize, mshrs int, isMiss func(rd int64) bool) (float64, int) {
+	weighted, misses := Walk(windows, robSize, isMiss)
+	return Mean(weighted, misses, mshrs)
+}
+
+// Walk is the part of Compute that reads the windows: over ROB-sized
+// chunks, the sum of each chunk's MLP weighted by its misses, and the
+// number of misses. It does not depend on the MSHR count, so a caller may
+// keep one result per distinct ROB size and predicate and finish each
+// prediction with Mean.
+func Walk(windows []profiler.Window, robSize int, isMiss func(rd int64) bool) (weighted float64, totalMisses int) {
 	if robSize < 1 {
 		robSize = 1
 	}
-	var weighted float64
-	var totalMisses int
 
 	// chainDepth[i] = length of the longest chain of dependent LLC misses
 	// ending at instruction i (0 when i does not depend on any miss and is
@@ -88,15 +97,21 @@ func Compute(windows []profiler.Window, robSize, mshrs int, isMiss func(rd int64
 	}
 	*cp = chainDepth[:0]
 	chainPool.Put(cp)
-	if totalMisses == 0 {
+	return weighted, totalMisses
+}
+
+// Mean turns Walk's sums into the epoch's MLP, the miss-weighted mean
+// clamped to [1, mshrs], and passes the miss count through.
+func Mean(weighted float64, misses, mshrs int) (float64, int) {
+	if misses == 0 {
 		return 1, 0
 	}
-	mlp := weighted / float64(totalMisses)
+	mlp := weighted / float64(misses)
 	if mlp < 1 {
 		mlp = 1
 	}
 	if m := float64(mshrs); mlp > m {
 		mlp = m
 	}
-	return mlp, totalMisses
+	return mlp, misses
 }

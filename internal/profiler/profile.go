@@ -79,6 +79,10 @@ type Epoch struct {
 	// models caches the StatStack models of the three histograms; see
 	// Models.
 	models atomic.Pointer[Models]
+	// memo caches the configuration-dependent analyses by the fields they
+	// read, allocated on first store; see MemoILP, MemoMLP and
+	// MemoMispredicts.
+	memo atomic.Pointer[memo]
 }
 
 // Models are an epoch's StatStack cache models, one per reuse-distance
@@ -140,6 +144,7 @@ func (e *Epoch) Merge(other *Epoch) {
 	e.CoherenceInvalidations += other.CoherenceInvalidations
 	e.Windows = append(e.Windows, other.Windows...)
 	e.models.Store(nil)
+	e.memo.Store(nil)
 }
 
 // ThreadProfile is one thread's sequence of epochs delimited by its
@@ -149,6 +154,12 @@ func (e *Epoch) Merge(other *Epoch) {
 type ThreadProfile struct {
 	Epochs []*Epoch
 	Events []trace.Event
+
+	// slabSpare is the bytes of window-array slab that the epochs'
+	// windows keep alive without using: the unused tail of each slab
+	// chunk. Profiling sets it; decoded and compact profiles allocate
+	// their windows exactly and leave it zero.
+	slabSpare int64
 }
 
 // TotalInstr returns the thread's dynamic instruction count.

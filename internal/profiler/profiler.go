@@ -138,6 +138,7 @@ type winArena struct {
 	pos     int
 	cap     int
 	chunk   int // windows per slab chunk; doubles as windows accumulate
+	spare   int // slots left unused at the ends of earlier chunks
 }
 
 const (
@@ -154,6 +155,7 @@ func (a *winArena) open(w *Window, ws int) {
 			a.chunk = winChunkMax
 		}
 		n := a.chunk * ws
+		a.spare += a.cap - a.pos
 		a.classes = make([]trace.Class, n)
 		a.dep1 = make([]int16, n)
 		a.dep2 = make([]int16, n)
@@ -365,6 +367,7 @@ func Run(p trace.Program, opt Options) (*Profile, error) {
 
 	prof := &Profile{Name: p.Name(), NumThreads: p.NumThreads()}
 	for _, ts := range ex.threads {
+		ts.profile.slabSpare = ts.wins.spareBytes()
 		prof.Threads = append(prof.Threads, ts.profile)
 	}
 	return prof, nil

@@ -22,12 +22,20 @@ func (w *Window) SizeBytes() int64 {
 	return n
 }
 
+// spareBytes returns the resident size of the arena's slab slots that no
+// window uses. Every chunk holds at least one window (a window opens on
+// an instruction), so the profile retains them all.
+func (a *winArena) spareBytes() int64 {
+	slot := int64(unsafe.Sizeof(trace.Class(0))) + 2*2 + 8 + 1 // class, deps, global RD, load flag
+	return int64(a.spare+a.cap-a.pos) * slot
+}
+
 // SizeBytes returns the resident size of one epoch profile.
 func (e *Epoch) SizeBytes() int64 {
 	n := int64(unsafe.Sizeof(*e))
 	n += e.Branch.SizeBytes()
 	n += e.PrivateRD.SizeBytes() + e.GlobalRD.SizeBytes() + e.InstrRD.SizeBytes()
-	n += e.modelBytes()
+	n += e.modelBytes() + MemoBytes
 	n += int64(len(e.Windows)) * int64(unsafe.Sizeof(Window{}))
 	for i := range e.Windows {
 		n += e.Windows[i].SizeBytes()
@@ -49,7 +57,7 @@ func (e *Epoch) modelBytes() int64 {
 
 // SizeBytes returns the resident size of one thread's profile.
 func (t *ThreadProfile) SizeBytes() int64 {
-	n := int64(unsafe.Sizeof(*t))
+	n := int64(unsafe.Sizeof(*t)) + t.slabSpare
 	n += int64(len(t.Events)) * int64(unsafe.Sizeof(trace.Event{}))
 	n += int64(len(t.Epochs)) * int64(unsafe.Sizeof((*Epoch)(nil)))
 	for _, e := range t.Epochs {

@@ -8,7 +8,7 @@ import (
 // TestEpochSizeChargesModels checks the accounting of the lazily built
 // StatStack models: an epoch's size is the same before and after they are
 // built, and afterwards it is the epoch's own data plus the built models'
-// sizes.
+// sizes and the memo's full capacity.
 func TestEpochSizeChargesModels(t *testing.T) {
 	prof := profileBench(t, "canneal", 0.05)
 	before := prof.SizeBytes()
@@ -27,8 +27,8 @@ func TestEpochSizeChargesModels(t *testing.T) {
 			}
 			models := int64(unsafe.Sizeof(*m)) +
 				m.Private.SizeBytes() + m.Global.SizeBytes() + m.Instr.SizeBytes()
-			if got := ep.SizeBytes(); got != data+models {
-				t.Fatalf("epoch size %d B, want data %d B + models %d B", got, data, models)
+			if got := ep.SizeBytes(); got != data+models+MemoBytes {
+				t.Fatalf("epoch size %d B, want data %d B + models %d B + memo %d B", got, data, models, MemoBytes)
 			}
 		}
 	}

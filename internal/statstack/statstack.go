@@ -26,10 +26,13 @@
 //
 // A Model depends on its histogram alone, never on a cache configuration,
 // and is immutable once built: it keeps the SD(r) samples and the
-// histogram's stats.Tail, not the histogram. For a sealed histogram (every
-// histogram of a finished profile) that Tail is the histogram's own sparse
-// storage, shared rather than copied, and charged to the histogram's size
-// rather than the model's. profiler.Epoch.Models builds an epoch's three
+// histogram's stats.Tail, not the histogram. Its sample points are a
+// prefix of one process-wide immutable grid, which depends only on the
+// sampling constants, then the model's own largest distance plus one, so
+// a model stores the samples but not their points. For a sealed histogram
+// (every histogram of a finished profile) that Tail is the histogram's
+// own sparse storage, shared rather than copied, and charged to the
+// histogram's size rather than the model's. profiler.Epoch.Models builds an epoch's three
 // models once per profile, and every prediction of that profile, on any
 // configuration and from any goroutine, queries them.
 package statstack
@@ -50,9 +53,10 @@ import (
 type Model struct {
 	tail *stats.Tail
 
-	// rs are reuse-distance sample points (ascending); sd[i] = E[SD(rs[i])].
-	rs []float64
-	sd []float64
+	// The reuse-distance sample points are the first len(sd)-1 points of
+	// the shared grid, then maxR; sd[i] = E[SD(r(i))].
+	sd   []float64
+	maxR float64
 }
 
 // New builds a model from a reuse-distance histogram. The histogram is
@@ -62,58 +66,71 @@ func New(h *stats.Histogram) *Model {
 	if h == nil || h.Count() == 0 {
 		return &Model{}
 	}
-	m := &Model{tail: h.Tail()}
-	maxR := float64(h.Max()) + 1
-	rs := make([]float64, 0, numPoints(maxR))
-	for r := 1.0; r <= denseMax && r < maxR; r++ {
-		rs = append(rs, r)
-	}
-	for r := geomStart; r < maxR; r *= geomStep {
-		rs = append(rs, math.Floor(r))
-	}
-	rs = append(rs, maxR)
+	m := &Model{tail: h.Tail(), maxR: float64(h.Max()) + 1}
+	m.sd = make([]float64, numPoints(m.maxR))
 
 	// SD(r) = ∫_{1}^{r-1} P(RD > j) dj, accumulated by trapezoid between
 	// sample points. ccdf(j) = FracAbove(j) is monotone non-increasing.
-	sd := make([]float64, len(rs))
 	prevR := 0.0
 	prevC := 1.0 // P(RD > 0) = 1 for any access stream
 	acc := 0.0
-	for i, r := range rs {
+	for i := range m.sd {
+		r := m.r(i)
 		c := m.tail.FracAbove(int64(r) - 1) // P(RD > r-1) = P(RD >= r)
 		acc += (r - prevR) * (c + prevC) / 2
-		sd[i] = acc
+		m.sd[i] = acc
 		prevR, prevC = r, c
 	}
-	m.rs = rs
-	m.sd = sd
 	return m
 }
 
 // Sample points: every distance up to denseMax, then geometric steps from
-// geomStart out to the largest finite distance observed, then that
-// distance plus one. All stop below it, so the grid is strictly ascending.
+// geomStart, stopping below the largest finite distance observed plus
+// one (maxR), then maxR itself, so a model's points are strictly
+// ascending. All but the last are a prefix of one grid, which the models
+// share.
 const (
 	denseMax  = 64.0
 	geomStart = 72.0
 	geomStep  = 1.09
 )
 
-// numPoints returns the length of New's sample grid for a given maxR.
-func numPoints(maxR float64) int {
-	n := int(math.Min(denseMax, maxR-1)) + 1
-	for r := geomStart; r < maxR; r *= geomStep {
-		n++
+// grid is the shared sample grid, from 1 out past any maxR an int64
+// distance can give. The geometric points are the floors of one running
+// product, so a model's points are the same whichever maxR stops them.
+var grid = func() []float64 {
+	var g []float64
+	for r := 1.0; r <= denseMax; r++ {
+		g = append(g, r)
 	}
-	return n
+	for r := geomStart; r < 0x1p64; r *= geomStep {
+		g = append(g, math.Floor(r))
+	}
+	return g
+}()
+
+// numPoints returns the number of sample points of a model whose largest
+// distance plus one is maxR: the grid points below it, then maxR.
+// Because maxR is an integer, a point is below it exactly when the
+// running product it is the floor of is.
+func numPoints(maxR float64) int {
+	return sort.SearchFloat64s(grid, maxR) + 1
+}
+
+// r returns the model's i-th sample point.
+func (m *Model) r(i int) float64 {
+	if i == len(m.sd)-1 {
+		return m.maxR
+	}
+	return grid[i]
 }
 
 // SizeBytes returns the resident size of the model: the struct and its
-// SD(r) samples. The tail snapshot is not charged: for a sealed source
-// histogram it is the histogram's own storage, charged by
-// Histogram.SizeBytes.
+// SD(r) samples. The sample points are the shared grid, and the tail
+// snapshot is not charged either: for a sealed source histogram it is the
+// histogram's own storage, charged by Histogram.SizeBytes.
 func (m *Model) SizeBytes() int64 {
-	return int64(unsafe.Sizeof(*m)) + 8*int64(len(m.rs)+len(m.sd))
+	return int64(unsafe.Sizeof(*m)) + 8*int64(len(m.sd))
 }
 
 // SizeFor returns New(h).SizeBytes() without building the model, so a
@@ -123,25 +140,26 @@ func SizeFor(h *stats.Histogram) int64 {
 	if h == nil || h.Count() == 0 {
 		return n
 	}
-	points := int64(numPoints(float64(h.Max()) + 1))
-	return n + 8*2*points // rs and sd, one float64 each
+	return n + 8*int64(numPoints(float64(h.Max())+1))
 }
 
 // StackDistance returns the expected stack distance for a reuse distance r.
 // It is monotone non-decreasing in r and never exceeds r.
 func (m *Model) StackDistance(r float64) float64 {
-	if len(m.rs) == 0 || r <= 1 {
+	if len(m.sd) == 0 || r <= 1 {
 		return math.Min(math.Max(r, 0), 1)
 	}
-	i := sort.SearchFloat64s(m.rs, r)
-	if i >= len(m.rs) {
-		return m.sd[len(m.sd)-1]
+	// The first sample point at or above r: a grid point, else maxR.
+	n := len(m.sd) - 1
+	i := sort.SearchFloat64s(grid[:n], r)
+	if i == n && r > m.maxR {
+		return m.sd[n]
 	}
-	if m.rs[i] == r || i == 0 {
+	if m.r(i) == r || i == 0 {
 		return math.Min(m.sd[i], r)
 	}
 	// Linear interpolation between sample points.
-	r0, r1 := m.rs[i-1], m.rs[i]
+	r0, r1 := m.r(i-1), m.r(i)
 	s0, s1 := m.sd[i-1], m.sd[i]
 	v := s0 + (s1-s0)*(r-r0)/(r1-r0)
 	return math.Min(v, r)
@@ -159,7 +177,7 @@ func (m *Model) CriticalDistance(lines int) float64 {
 // criticalReuseDistance returns the smallest reuse distance whose expected
 // stack distance reaches lines, or +Inf if no finite distance does.
 func (m *Model) criticalReuseDistance(lines int) float64 {
-	if len(m.rs) == 0 {
+	if len(m.sd) == 0 {
 		return math.Inf(1)
 	}
 	c := float64(lines)
@@ -169,9 +187,9 @@ func (m *Model) criticalReuseDistance(lines int) float64 {
 	// Binary search over sample points, then interpolate within the segment.
 	i := sort.Search(len(m.sd), func(k int) bool { return m.sd[k] >= c })
 	if i == 0 {
-		return m.rs[0]
+		return m.r(0)
 	}
-	r0, r1 := m.rs[i-1], m.rs[i]
+	r0, r1 := m.r(i-1), m.r(i)
 	s0, s1 := m.sd[i-1], m.sd[i]
 	if s1 == s0 {
 		return r1

@@ -226,19 +226,68 @@ func TestSampleGridAscending(t *testing.T) {
 		}
 		h.AddN(stats.Infinite, r.Uint64n(40))
 		m := New(h)
-		if len(m.rs) != numPoints(float64(h.Max())+1) {
-			t.Fatalf("max %d: %d sample points, numPoints says %d", h.Max(), len(m.rs), numPoints(float64(h.Max())+1))
+		if len(m.sd) != numPoints(float64(h.Max())+1) {
+			t.Fatalf("max %d: %d sample points, numPoints says %d", h.Max(), len(m.sd), numPoints(float64(h.Max())+1))
 		}
-		for k := 1; k < len(m.rs); k++ {
-			if m.rs[k] <= m.rs[k-1] {
-				t.Fatalf("max %d: sample points not ascending at %d: %v after %v", h.Max(), k, m.rs[k], m.rs[k-1])
+		for k := 1; k < len(m.sd); k++ {
+			if m.r(k) <= m.r(k-1) {
+				t.Fatalf("max %d: sample points not ascending at %d: %v after %v", h.Max(), k, m.r(k), m.r(k-1))
 			}
 			if m.sd[k] < m.sd[k-1] {
-				t.Fatalf("max %d: stack distance decreases at r=%v: %v after %v", h.Max(), m.rs[k], m.sd[k], m.sd[k-1])
+				t.Fatalf("max %d: stack distance decreases at r=%v: %v after %v", h.Max(), m.r(k), m.sd[k], m.sd[k-1])
 			}
 		}
 		if got, want := m.SizeBytes(), SizeFor(h); got != want {
 			t.Fatalf("max %d: model is %d B, SizeFor says %d", h.Max(), got, want)
+		}
+	}
+}
+
+// ownGrid is the sample grid New built per model before models shared
+// one: the reference the shared prefix must reproduce.
+func ownGrid(maxR float64) []float64 {
+	var rs []float64
+	for r := 1.0; r <= denseMax && r < maxR; r++ {
+		rs = append(rs, r)
+	}
+	for r := geomStart; r < maxR; r *= geomStep {
+		rs = append(rs, math.Floor(r))
+	}
+	return append(rs, maxR)
+}
+
+// TestSharedGridPrefix checks that a model's sample points, the shared
+// grid's prefix plus maxR, are bit for bit the grid a model built for
+// itself, for every largest distance in [0, 4096] and around the powers
+// of two up to 2^40, and that a model built from a histogram with that
+// largest distance uses them.
+func TestSharedGridPrefix(t *testing.T) {
+	maxes := []int64{}
+	for v := int64(0); v <= 4096; v++ {
+		maxes = append(maxes, v)
+	}
+	for p := 13; p <= 40; p++ {
+		maxes = append(maxes, 1<<p-1, 1<<p, 1<<p+1)
+	}
+	for _, max := range maxes {
+		maxR := float64(max) + 1
+		want := ownGrid(maxR)
+		m := &Model{sd: make([]float64, numPoints(maxR)), maxR: maxR}
+		if len(m.sd) != len(want) {
+			t.Fatalf("max %d: %d points, own grid has %d", max, len(m.sd), len(want))
+		}
+		for k, w := range want {
+			if math.Float64bits(m.r(k)) != math.Float64bits(w) {
+				t.Fatalf("max %d: point %d is %v, own grid has %v", max, k, m.r(k), w)
+			}
+		}
+	}
+	for _, max := range []int64{0, 1, 63, 64, 65, 71, 72, 73, 4095, 4096, 1 << 20} {
+		h := stats.NewHistogram()
+		h.Add(max)
+		if m := New(h); m.maxR != float64(h.Max())+1 || len(m.sd) != len(ownGrid(m.maxR)) {
+			t.Fatalf("max %d: model has maxR %v and %d points, want %v and %d",
+				max, m.maxR, len(m.sd), float64(h.Max())+1, len(ownGrid(float64(h.Max())+1)))
 		}
 	}
 }
